@@ -67,7 +67,7 @@ def _load_link(args):
     spec = getattr(args, "builtin", None) or getattr(args, "link", None)
     if spec:
         return parse_link_spec(spec)
-    raise SystemExit("no link given: use --pd, --pd-text, or --builtin")
+    raise ValueError("no link given: use --pd, --pd-text, or --builtin")
 
 
 def _link_payload(link) -> dict:
@@ -137,7 +137,7 @@ def cmd_milnor(args) -> int:
         )
         indices = list(all_multi_indices(tuple(labels), args.all_upto_length))
     else:
-        raise SystemExit("give --index or --all-upto-length")
+        raise MilnorError("give --index or --all-upto-length")
     lines = []
     for index in indices:
         rec = mubar(link, index)
@@ -191,25 +191,22 @@ def cmd_drf_orbit(args) -> int:
 
 
 def _horizons(args) -> tuple[int, int, int]:
-    k_max, m_max, p_max = DEFAULT_K_MAX, DEFAULT_M_MAX, DEFAULT_P_MAX
-    env = os.environ.get("TOROSHRINK_HORIZON")
-    if env:
-        parts = [int(tok) for tok in env.replace(",", " ").split()]
+    horizons = (DEFAULT_K_MAX, DEFAULT_M_MAX, DEFAULT_P_MAX)
+    # the environment first, so that --horizon overrides it
+    for name, text in (
+        ("TOROSHRINK_HORIZON", os.environ.get("TOROSHRINK_HORIZON")),
+        ("--horizon", args.horizon),
+    ):
+        if not text:
+            continue
+        parts = tuple(int(tok) for tok in text.replace(",", " ").split())
         if len(parts) == 1:
-            p_max = parts[0]
+            horizons = horizons[:2] + parts
         elif len(parts) == 3:
-            k_max, m_max, p_max = parts
+            horizons = parts
         else:
-            raise SystemExit("TOROSHRINK_HORIZON must be P or K,M,P")
-    if args.horizon:
-        parts = [int(tok) for tok in args.horizon.replace(",", " ").split()]
-        if len(parts) == 1:
-            p_max = parts[0]
-        elif len(parts) == 3:
-            k_max, m_max, p_max = parts
-        else:
-            raise SystemExit("--horizon must be P or K,M,P")
-    return k_max, m_max, p_max
+            raise ValueError(f"{name} must be P or K,M,P")
+    return horizons
 
 
 def cmd_shrink(args) -> int:

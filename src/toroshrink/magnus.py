@@ -11,6 +11,10 @@ The constant term of the expansion of any group element is 1, and the
 expansion is multiplicative up to truncation.  A word lies in the k-th
 lower central subgroup of the free group exactly when its expansion is
 1 modulo monomials of degree >= k, which :func:`lcs_depth` exploits.
+
+A single coefficient needs no series: :func:`word_coefficient` reads it
+with a dynamic programme over the prefixes of the monomial, at a cost
+independent of the number of variables.
 """
 
 from __future__ import annotations
@@ -108,9 +112,6 @@ class MagnusSeries:
             )
         return self.terms.get(mon, 0)
 
-    def degree_slice(self, degree: int) -> dict[Monomial, int]:
-        return {m: c for m, c in self.terms.items() if len(m) == degree}
-
     def min_positive_degree(self) -> int | None:
         """Smallest degree >= 1 carrying a nonzero term, or None."""
         degrees = [len(m) for m in self.terms if m]
@@ -136,6 +137,43 @@ def expand(w: Word, q: int) -> MagnusSeries:
     for gen, sign in w.letters:
         out = out * _generator_series(gen, sign, q)
     return out
+
+
+def word_coefficient(w: Word, index: Iterable[int]) -> int:
+    """Coefficient of k_{j1}...k_{js} in the Magnus expansion of w.
+
+    Equal to ``expand(w, q).coefficient(index)`` for any q >= s, and to the
+    augmented iterated Fox derivative, but computed without a series:
+    c[t] is the coefficient of index[:t] in the expansion of the letters
+    read so far.  Reading x_g multiplies by 1 + k_g, so c[t] += c[t-1]
+    where index[t-1] == g; reading x_g^-1 multiplies by the alternating
+    series in k_g, so c[t] gains sum_p (-1)^p c[t-p] over the run of g's
+    ending at index[t-1].  Updating t downwards reads only old values.
+    Cost O(|w| s^2) in the worst case, independent of the rank.
+    """
+    index = tuple(index)
+    # per generator, the positions t (descending) with index[t-1] == g,
+    # each with the length of the run of g's ending there
+    slots: dict[int, list[tuple[int, int]]] = {}
+    run = 0
+    for t, g in enumerate(index, 1):
+        run = run + 1 if t > 1 and index[t - 2] == g else 1
+        slots.setdefault(g, []).insert(0, (t, run))
+    c = [1] + [0] * len(index)
+    for gen, sign in w.letters:
+        targets = slots.get(gen)
+        if targets is None:
+            continue
+        if sign == 1:
+            for t, _ in targets:
+                c[t] += c[t - 1]
+        else:
+            for t, run in targets:
+                acc = 0
+                for p in range(1, run + 1):
+                    acc = acc - c[t - p] if p % 2 else acc + c[t - p]
+                c[t] += acc
+    return c[-1]
 
 
 def series_multiply(a: MagnusSeries, b: MagnusSeries) -> MagnusSeries:

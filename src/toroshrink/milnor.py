@@ -3,7 +3,11 @@
 For a multi-index I = (i_1, ..., i_r) the number mu_I is the coefficient
 of k_{i_1}...k_{i_{r-1}} in the Magnus expansion of a word w representing
 the zero-framed longitude of component i_r modulo the r-th lower central
-subgroup.  For diagram input, w is produced by iterated substitution in
+subgroup.  That one coefficient is read by the prefix dynamic programme
+:func:`~toroshrink.magnus.word_coefficient`, without building the series;
+the full truncated expansion is used only for the stability certificate
+below, for ``--dump-series`` and as the oracle in the tests.  For diagram
+input, w is produced by iterated substitution in
 the Wirtinger presentation: every arc starts as the meridian of its
 component and is refined through the crossing relators for r-1 rounds
 (deeper rounds change the word only inside F_r, which the optional
@@ -23,7 +27,9 @@ from math import gcd
 
 from .freegroup import Word
 from .linkio import LinkData, LinkPresentation, PDCode, WirtingerPresentation, wirtinger
-from .magnus import expand, lcs_depth
+# expand is not called here; it stays importable from this module because
+# perfbench/tracer.py wraps it in every toroshrink namespace that holds it
+from .magnus import expand, lcs_depth, word_coefficient  # noqa: F401
 
 __all__ = [
     "MilnorRecord",
@@ -191,7 +197,7 @@ def mu(link: LinkData, index: tuple[int, ...], verify: bool = True) -> int:
     _check_index(_labels(link), index)
     q = len(index)
     word = longitude_word(link, index[-1], q, verify=verify)
-    return expand(word, q).coefficient(index[:-1])
+    return word_coefficient(word, index[:-1])
 
 
 def sub_multi_indices(index: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

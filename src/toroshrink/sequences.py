@@ -530,6 +530,14 @@ def _parse_link_entry(entry) -> NMLinkSpec:
     raise SequenceError(f"bad link entry {entry!r}")
 
 
+def _field(config: dict, key: str, where: str):
+    """config[key], or a SequenceError naming the missing key."""
+    try:
+        return config[key]
+    except KeyError:
+        raise SequenceError(f"{where} is missing the key {key!r}") from None
+
+
 def parse_sequence_config(config) -> LinkSequence:
     """Build a LinkSequence from a JSON string or a parsed config dict."""
     if isinstance(config, str):
@@ -537,27 +545,32 @@ def parse_sequence_config(config) -> LinkSequence:
     if not isinstance(config, dict) or "variant" not in config:
         raise SequenceError("sequence config must be an object with a 'variant'")
     variant = config["variant"]
+    where = f"{variant!r} sequence config"
     if variant == "periodic":
-        return PeriodicSequence(tuple(_parse_link_entry(e) for e in config["links"]))
+        return PeriodicSequence(
+            tuple(_parse_link_entry(e) for e in _field(config, "links", where))
+        )
     if variant == "eventually_periodic":
         return EventuallyPeriodicSequence(
             prefix=tuple(_parse_link_entry(e) for e in config.get("prefix", [])),
-            tail=tuple(_parse_link_entry(e) for e in config["period"]),
+            tail=tuple(_parse_link_entry(e) for e in _field(config, "period", where)),
         )
     if variant == "explicit":
-        return ExplicitSequence(tuple(_parse_link_entry(e) for e in config["links"]))
+        return ExplicitSequence(
+            tuple(_parse_link_entry(e) for e in _field(config, "links", where))
+        )
     if variant == "generator":
         if "even" in config or "odd" in config:
-            even, odd = config["even"], config["odd"]
+            even, odd = _field(config, "even", where), _field(config, "odd", where)
             return GeneratorSequence(
-                even_n=parse_poly(str(even["n"])),
-                even_m=parse_poly(str(even["m"])),
-                odd_n=parse_poly(str(odd["n"])),
-                odd_m=parse_poly(str(odd["m"])),
+                even_n=parse_poly(str(_field(even, "n", "'even' case"))),
+                even_m=parse_poly(str(_field(even, "m", "'even' case"))),
+                odd_n=parse_poly(str(_field(odd, "n", "'odd' case"))),
+                odd_m=parse_poly(str(_field(odd, "m", "'odd' case"))),
             )
         return GeneratorSequence(
-            n_poly=parse_poly(str(config["n"])),
-            m_poly=parse_poly(str(config["m"])),
+            n_poly=parse_poly(str(_field(config, "n", where))),
+            m_poly=parse_poly(str(_field(config, "m", where))),
         )
     raise SequenceError(f"unknown sequence variant {variant!r}")
 

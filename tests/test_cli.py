@@ -195,3 +195,61 @@ def test_milnor_wrong_labels_give_guidance(capsys):
     code, _, err = run(capsys, "milnor", "--builtin", "borromean", "--index", "0,1,2")
     assert code == 3
     assert "components are (1, 2, 3)" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"variant": "periodic"}, "links"),
+        ({"variant": "generator", "n": "2*i"}, "m"),
+        ({"variant": "generator", "even": {"n": "2", "m": "1"}}, "odd"),
+    ],
+)
+def test_shrink_decide_missing_key_exits_three(tmp_path, capsys, cfg, key):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_milnor_without_index_exits_three(capsys):
+    code, out, err = run(capsys, "milnor", "--builtin", "borromean")
+    assert code == 3
+    assert out == ""
+    assert "--index or --all-upto-length" in err
+
+
+def test_no_link_given_exits_three(capsys):
+    code, _, err = run(capsys, "link", "info")
+    assert code == 3
+    assert "no link given" in err
+
+
+@pytest.mark.parametrize("env, flag", [("1,2", None), (None, "1,2")])
+def test_bad_horizon_exits_three(tmp_path, capsys, monkeypatch, env, flag):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "periodic", "links": [{"nm": [2, 1]}]}),
+        encoding="utf-8",
+    )
+    if env:
+        monkeypatch.setenv("TOROSHRINK_HORIZON", env)
+    argv = ["shrink", "decide", "--config", str(path)]
+    if flag:
+        argv += ["--horizon", flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "must be P or K,M,P" in err
+
+
+def test_horizon_flag_overrides_environment_step_bound(monkeypatch):
+    # K,M come from the environment, P from the flag
+    from toroshrink.cli import _horizons, build_parser
+
+    monkeypatch.setenv("TOROSHRINK_HORIZON", "4,5,6")
+    args = build_parser().parse_args(["shrink", "decide", "--config", "x", "--horizon", "9"])
+    assert _horizons(args) == (4, 5, 9)

@@ -1,8 +1,16 @@
+import itertools
 import random
+from math import comb
 
 import pytest
 
-from toroshrink.freegroup import FreeGroup, Word, commutator, iterated_fox_coefficient
+from toroshrink.freegroup import (
+    FreeGroup,
+    Word,
+    commutator,
+    iterated_fox_coefficient,
+    parse_word,
+)
 from toroshrink.magnus import (
     MagnusSeries,
     TruncationMismatch,
@@ -12,6 +20,7 @@ from toroshrink.magnus import (
     format_series,
     lcs_depth,
     series_multiply,
+    word_coefficient,
 )
 
 F3 = FreeGroup(3)
@@ -100,16 +109,40 @@ def test_inverse_law_random():
 
 
 def test_fox_magnus_agreement_random():
-    # coefficients of the Magnus expansion match augmented iterated Fox
-    # derivatives; the two computations share no code path
+    # coefficients of the Magnus expansion and of the prefix DP match
+    # augmented iterated Fox derivatives; Fox calculus shares no code path
+    # with either
     rng = random.Random(8)
     for _ in range(120):
         w = random_word(rng)
         length = rng.randrange(1, 4)
         index = tuple(rng.randrange(3) for _ in range(length))
-        assert coefficient(expand(w, length), index) == iterated_fox_coefficient(
-            w, index
-        )
+        fox = iterated_fox_coefficient(w, index)
+        assert coefficient(expand(w, length), index) == fox
+        assert word_coefficient(w, index) == fox
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x1^-3", "x1^-3 x2 x1^-2", "x0^-2 x1^-1 x0^-2 x1^-1", "x2 x1^-4 x2^-3 x1^2"],
+)
+def test_word_coefficient_inverse_runs(text):
+    # runs of inverse letters against runs in the index exercise the
+    # alternating sum of the DP
+    w = parse_word(text, 3)
+    series = expand(w, 5)
+    for length in range(6):
+        for index in itertools.product(range(3), repeat=length):
+            fox = iterated_fox_coefficient(w, index)
+            assert word_coefficient(w, index) == fox == series.coefficient(index)
+
+
+def test_word_coefficient_inverse_powers_are_binomial():
+    # (1 + k)^-n = sum_p (-1)^p C(n+p-1, p) k^p
+    for n in range(1, 5):
+        w = Word(3, [(1, -1)] * n)
+        for p in range(6):
+            assert word_coefficient(w, (1,) * p) == (-1) ** p * comb(n + p - 1, p)
 
 
 def test_truncation_stability_random():

@@ -11,7 +11,7 @@ from toroshrink.linkio import (
     pd_fixture,
     wirtinger,
 )
-from toroshrink.magnus import expand
+from toroshrink.magnus import expand, word_coefficient
 from toroshrink.milnor import (
     MilnorError,
     longitude_word,
@@ -235,3 +235,36 @@ def test_reduction_stability_explicit():
             w_next = _longitude_from_arcs(wp, label, deeper, rank)
             defect = w.inverse() * w_next
             assert defect.is_identity() or lcs_depth(defect, q) >= q
+
+
+ORACLE_LINKS = {
+    "hopf": pd_fixture("hopf"),
+    "whitehead": pd_fixture("whitehead"),
+    "borromean": pd_fixture("borromean"),
+    "bing_axis": bing_axis_pd(),
+    "nm(1,1)": builtin("nm(1,1)"),
+    "nm(2,1)": builtin("nm(2,1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_word_coefficient_matches_full_expansion_on_longitudes(name):
+    # the prefix DP behind mu against the full truncated expansion, on
+    # every monomial of length <= q in the longitude words for class q <= 5
+    # (a presentation has one word per component, whatever its valid class)
+    link = ORACLE_LINKS[name]
+    diagram = hasattr(link, "component_labels")
+    labels = link.component_labels if diagram else link.labels
+    top = 5 if diagram else min(5, link.valid_class)
+    for component in labels:
+        for q in range(2, 6):
+            word = longitude_word(link, component, q) if diagram else link.longitude[component]
+            series = expand(word, q)
+            for length in range(1, q + 1):
+                for mono in itertools.product(labels, repeat=length):
+                    assert word_coefficient(word, mono) == series.coefficient(mono), (
+                        name, component, q, mono,
+                    )
+            if q <= top:
+                for head in itertools.product(labels, repeat=q - 1):
+                    assert mu(link, head + (component,)) == series.coefficient(head)

@@ -177,6 +177,23 @@ def test_parse_sequence_config_errors():
         parse_sequence_config({"variant": "periodic", "links": ["trefoil"]})
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"variant": "periodic"}, "links"),
+        ({"variant": "explicit"}, "links"),
+        ({"variant": "eventually_periodic", "prefix": []}, "period"),
+        ({"variant": "generator", "n": "2*i"}, "m"),
+        ({"variant": "generator", "m": "1"}, "n"),
+        ({"variant": "generator", "odd": {"n": "2", "m": "1"}}, "even"),
+        ({"variant": "generator", "even": {"n": "2"}, "odd": {"n": "2", "m": "1"}}, "m"),
+    ],
+)
+def test_parse_sequence_config_names_missing_key(cfg, key):
+    with pytest.raises(SequenceError, match=f"missing the key {key!r}"):
+        parse_sequence_config(cfg)
+
+
 def test_gap_sequence_periodic():
     gaps = GapSequence.periodic([1, 2])
     assert [gaps.gap(i) for i in range(1, 5)] == [1, 2, 1, 2]
