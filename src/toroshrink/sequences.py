@@ -525,17 +525,36 @@ def _parse_link_entry(entry) -> NMLinkSpec:
             return NMLinkSpec(int(m.group(1)), int(m.group(2)))
         raise SequenceError(f"unknown link entry {entry!r}")
     if isinstance(entry, dict) and "nm" in entry:
-        n, m = entry["nm"]
-        return NMLinkSpec(int(n), int(m))
+        pair = entry["nm"]
+        if (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and isinstance(pair[0], int)
+            and isinstance(pair[1], int)
+        ):
+            return NMLinkSpec(*pair)
+        raise SequenceError(f"'nm' must be a pair of integers in link entry {entry!r}")
     raise SequenceError(f"bad link entry {entry!r}")
 
 
-def _field(config: dict, key: str, where: str):
-    """config[key], or a SequenceError naming the missing key."""
+def _field(config: dict, key: str, where: str, kind):
+    """config[key] when it is of type `kind`, or a SequenceError naming
+    the missing or wrongly typed key."""
     try:
-        return config[key]
+        value = config[key]
     except KeyError:
         raise SequenceError(f"{where} is missing the key {key!r}") from None
+    if not isinstance(value, kind):
+        raise SequenceError(f"{where} has {key!r} of the wrong type {type(value).__name__}")
+    return value
+
+
+def _links(config: dict, key: str, where: str) -> tuple[NMLinkSpec, ...]:
+    return tuple(_parse_link_entry(e) for e in _field(config, key, where, (list, tuple)))
+
+
+def _poly(config: dict, key: str, where: str) -> IntPoly:
+    return parse_poly(str(_field(config, key, where, (str, int))))
 
 
 def parse_sequence_config(config) -> LinkSequence:
@@ -547,30 +566,26 @@ def parse_sequence_config(config) -> LinkSequence:
     variant = config["variant"]
     where = f"{variant!r} sequence config"
     if variant == "periodic":
-        return PeriodicSequence(
-            tuple(_parse_link_entry(e) for e in _field(config, "links", where))
-        )
+        return PeriodicSequence(_links(config, "links", where))
     if variant == "eventually_periodic":
         return EventuallyPeriodicSequence(
-            prefix=tuple(_parse_link_entry(e) for e in config.get("prefix", [])),
-            tail=tuple(_parse_link_entry(e) for e in _field(config, "period", where)),
+            prefix=_links(config, "prefix", where) if "prefix" in config else (),
+            tail=_links(config, "period", where),
         )
     if variant == "explicit":
-        return ExplicitSequence(
-            tuple(_parse_link_entry(e) for e in _field(config, "links", where))
-        )
+        return ExplicitSequence(_links(config, "links", where))
     if variant == "generator":
         if "even" in config or "odd" in config:
-            even, odd = _field(config, "even", where), _field(config, "odd", where)
+            even = _field(config, "even", where, dict)
+            odd = _field(config, "odd", where, dict)
             return GeneratorSequence(
-                even_n=parse_poly(str(_field(even, "n", "'even' case"))),
-                even_m=parse_poly(str(_field(even, "m", "'even' case"))),
-                odd_n=parse_poly(str(_field(odd, "n", "'odd' case"))),
-                odd_m=parse_poly(str(_field(odd, "m", "'odd' case"))),
+                even_n=_poly(even, "n", "'even' case"),
+                even_m=_poly(even, "m", "'even' case"),
+                odd_n=_poly(odd, "n", "'odd' case"),
+                odd_m=_poly(odd, "m", "'odd' case"),
             )
         return GeneratorSequence(
-            n_poly=parse_poly(str(_field(config, "n", where))),
-            m_poly=parse_poly(str(_field(config, "m", where))),
+            n_poly=_poly(config, "n", where), m_poly=_poly(config, "m", where)
         )
     raise SequenceError(f"unknown sequence variant {variant!r}")
 

@@ -753,29 +753,6 @@ def _gap_sequence_links(gaps: GapSequence) -> LinkSequence | None:
 _ORBIT_VALUE_CAP = 10**9
 
 
-def _orbit(seq: LinkSequence, k: int, m: int, p_max: int):
-    """(values, resolved, horizon_hit): iterate v <- D_{L^{m+t}}(v).
-
-    Orbit values above a large cap are treated as unresolved growth; the
-    exact arithmetic is inlined to keep long simulations cheap.
-    """
-    values = [k]
-    v = k
-    for t in range(p_max):
-        try:
-            spec = seq.link(m + t)
-        except HorizonError:
-            return values, False, True
-        if v:
-            v = max(-((-2 * spec.m * v) // spec.n) - 1, 0)
-        values.append(v)
-        if v == 0:
-            return values, True, False
-        if v > _ORBIT_VALUE_CAP:
-            return values, False, False
-    return values, False, False
-
-
 def orbit_decide(
     seq: LinkSequence,
     k_max: int = DEFAULT_K_MAX,
@@ -822,52 +799,87 @@ def orbit_decide(
 
 
 def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
-    """Aggregate orbit statistics; vectorized over k since the simulation
-    is evidence only, never part of a verdict."""
-    import numpy as np
+    """Orbit statistics for an Unknown verdict, in exact integers.
 
-    bound = seq.known_bound()
-    horizon_end = m_max + p_max if bound is None else min(bound + 1, m_max + p_max)
-    specs = []
-    for i in range(1, horizon_end + 1):
-        try:
-            specs.append(seq.link(i))
-        except HorizonError:
-            break
+    Orbit (k, m) starts at value k and applies the DRFs
+    f(v) = max(ceil(2mv/n) - 1, 0) of links m, m+1, ... until it reaches
+    0, exceeds the cap (it is then frozen at cap + 1), has run p_max
+    steps, or runs out of links.  Every DRF is monotone in v, 0 is
+    absorbing and cap + 1 is frozen, so for fixed m the capped orbits
+    stay ordered: k < k' gives v_t(k) <= v_t(k') at every step t.
+    Hence the vanishing starts are a prefix 1..K_m whose vanishing times
+    do not decrease with k, and the capped starts are a suffix whose
+    capping times do not increase with k.  So a search over k finds K_m
+    exactly; the longest vanishing orbit from m is orbit K_m; and the
+    longest-lived orbit from m, which decides whether some orbit took
+    the last available link (the horizon flag), is orbit K_m or K_m + 1.
+    The search doubles k from 1 until an orbit does not vanish, then
+    bisects: O(log K_m) orbit runs, and few of them above K_m, where an
+    orbit that neither vanishes nor caps runs all p_max steps.  Links
+    are fetched only as far as some orbit reaches.
+    """
+    links: list[tuple[int, int]] = []  # (n, 2m) of links 1, 2, ...
+
+    def fetch(count: int) -> bool:
+        """Extend `links` to `count` links; False when they are not known."""
+        while len(links) < count:
+            try:
+                spec = seq.link(len(links) + 1)
+            except HorizonError:
+                return False
+            links.append((spec.n, 2 * spec.m))
+        return True
+
+    cap = _ORBIT_VALUE_CAP
+
+    def orbit(k: int, m: int) -> tuple[int, int]:
+        """(final value, steps taken) of orbit (k, m)."""
+        v = k
+        pos = start = m - 1
+        end = start + p_max
+        while pos < end and fetch(pos + 1):
+            # a slice, not islice: islice would skip pos links on every
+            # link fetched at the frontier
+            for n, two_m in links[pos:end]:
+                pos += 1
+                v = -(-two_m * v // n) - 1  # f(v), >= 0 since v >= 1
+                if not v:
+                    return 0, pos - start
+                if v > cap:
+                    return cap + 1, pos - start
+        return v, pos - start
+
     resolved = 0
-    unresolved = []
+    unresolved: list[list[int]] = []
     horizon = False
     longest = 0
-    cap = _ORBIT_VALUE_CAP
     for m in range(1, m_max + 1):
-        v = np.arange(1, k_max + 1, dtype=np.int64)
-        steps = np.zeros(k_max, dtype=np.int64)
-        alive = v > 0
-        for t in range(p_max):
-            idx = m + t - 1
-            if idx >= len(specs):
-                horizon = True
+        runs = {0: (0, 0)}  # the orbit of 0 has vanished before any step
+        lo, hi = 0, 1  # orbit lo vanishes; gallop until orbit hi does not
+        while hi <= k_max:
+            runs[hi] = orbit(hi, m)
+            if runs[hi][0]:
                 break
-            n, mm = specs[idx].n, specs[idx].m
-            cur = v[alive]
-            if not cur.size:
-                break
-            nxt = np.maximum(-((-2 * mm * cur) // n) - 1, 0)
-            nxt = np.minimum(nxt, cap + 1)
-            v[alive] = nxt
-            steps[alive] += 1
-            alive = alive & (v != 0) & (v <= cap)
-        vanished = v == 0
-        resolved += int(vanished.sum())
-        if vanished.any():
-            longest = max(longest, int(steps[vanished].max()))
-        for k in np.nonzero(~vanished)[0][:8]:
-            if len(unresolved) < 8:
-                unresolved.append([int(k) + 1, m, int(v[k])])
-    total = k_max * m_max
+            lo, hi = hi, 2 * hi
+        hi = min(hi, k_max + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            runs[mid] = orbit(mid, m)
+            if runs[mid][0]:
+                hi = mid
+            else:
+                lo = mid
+        resolved += lo
+        longest = max(longest, runs[lo][1])
+        life = max(runs[lo][1], runs.get(hi, (0, 0))[1])
+        if life < p_max and not fetch(m + life):
+            horizon = True
+        # the first 8 unresolved orbits in (m, k) order
+        for k in range(hi, min(k_max, hi + 7 - len(unresolved)) + 1):
+            unresolved.append([k, m, (runs[k] if k in runs else orbit(k, m))[0]])
     return {
         "orbits_vanishing": resolved,
-        "orbits_unresolved": total - resolved,
+        "orbits_unresolved": k_max * m_max - resolved,
         "unresolved_sample": unresolved,
         "longest_vanishing_orbit": longest,
         "horizon_exhausted": horizon,

@@ -215,6 +215,26 @@ def test_shrink_decide_missing_key_exits_three(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"variant": "periodic", "links": 5}, "links"),
+        ({"variant": "generator", "even": "x", "odd": {"n": "2", "m": "1"}}, "even"),
+        ({"variant": "generator", "n": None, "m": "1"}, "n"),
+        ({"variant": "eventually_periodic", "prefix": 5, "period": ["bing"]}, "prefix"),
+        ({"variant": "explicit", "links": [{"nm": 5}]}, "nm"),
+    ],
+)
+def test_shrink_decide_mistyped_field_exits_three(tmp_path, capsys, cfg, key):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_milnor_without_index_exits_three(capsys):
     code, out, err = run(capsys, "milnor", "--builtin", "borromean")
     assert code == 3

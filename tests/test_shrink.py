@@ -1,14 +1,21 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import toroshrink
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,
     GapSequence,
     GeneratorSequence,
+    HorizonError,
+    IntPoly,
     PeriodicSequence,
     parse_poly,
 )
@@ -30,6 +37,7 @@ from toroshrink.shrink import (
     periodic_product,
     sher_armentrout,
     verify_certificate,
+    _orbit_evidence,
 )
 
 PURE_BING = PeriodicSequence(((2, 1),))
@@ -292,6 +300,146 @@ def test_periodic_orbit_agreement_random():
         )
         seq = PeriodicSequence(links)
         assert orbit_decide(seq).outcome == periodic_product(seq).outcome
+
+
+# -- orbit evidence against a lockstep reference ------------------------------------
+
+
+def _reference_evidence(seq, k_max, m_max, p_max):
+    """Every orbit (k, m) stepped in lockstep with Python ints, one start m
+    at a time.  The horizon is flagged when the links run out before p_max
+    steps and some orbit from m took the last one, even if that step ended
+    it (the check for a missing link comes before the check for orbits
+    still running)."""
+    cap = 10**9
+    links = []
+    for i in range(1, m_max + p_max):
+        try:
+            links.append(seq.link(i))
+        except HorizonError:
+            break
+    vanishing, sample, longest, horizon = 0, [], 0, False
+    for m in range(1, m_max + 1):
+        values = list(range(1, k_max + 1))
+        steps = [0] * k_max
+        running = list(range(k_max))
+        for t in range(p_max):
+            if m + t > len(links):
+                horizon = True
+                break
+            if not running:
+                break
+            spec = links[m + t - 1]
+            for j in running:
+                ceiling = (2 * spec.m * values[j] + spec.n - 1) // spec.n
+                values[j] = min(max(ceiling - 1, 0), cap + 1)
+                steps[j] += 1
+            running = [j for j in running if 0 < values[j] <= cap]
+        for j in range(k_max):
+            if values[j] == 0:
+                vanishing += 1
+                longest = max(longest, steps[j])
+            elif len(sample) < 8:
+                sample.append([j + 1, m, values[j]])
+    return {
+        "orbits_vanishing": vanishing,
+        "orbits_unresolved": k_max * m_max - vanishing,
+        "unresolved_sample": sample,
+        "longest_vanishing_orbit": longest,
+        "horizon_exhausted": horizon,
+    }
+
+
+_HUGE = st.integers(1, 10**30)
+_link_st = st.tuples(st.integers(1, 12), st.integers(1, 6)) | st.tuples(_HUGE, _HUGE)
+# c * (1 + small nonnegative terms): >= 1 from index 0 on; c reaches 10^20,
+# while the coefficient ratios stay small, which keeps construction cheap
+_poly_st = st.builds(
+    lambda c, cs: IntPoly(tuple(c * x for x in (1 + cs[0],) + tuple(cs[1:]))),
+    st.integers(1, 3) | st.integers(1, 10**20),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _evidence_cases(draw):
+    k_max = draw(st.integers(1, 80))
+    m_max = draw(st.integers(1, 8))
+    p_max = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["explicit", "at_horizon", "generator", "two_case"]))
+    if kind == "generator":
+        seq = GeneratorSequence(n_poly=draw(_poly_st), m_poly=draw(_poly_st))
+    elif kind == "two_case":
+        seq = GeneratorSequence(
+            even_n=draw(_poly_st), even_m=draw(_poly_st),
+            odd_n=draw(_poly_st), odd_m=draw(_poly_st),
+        )
+    else:
+        # at_horizon: the data end at most two links before the last link an
+        # orbit can use (m_max + p_max - 1), or one link after it
+        size = (
+            draw(st.integers(max(1, m_max + p_max - 3), m_max + p_max))
+            if kind == "at_horizon"
+            else draw(st.integers(1, 50))
+        )
+        seq = ExplicitSequence(tuple(draw(st.lists(_link_st, min_size=size, max_size=size))))
+    return seq, k_max, m_max, p_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evidence_cases())
+def test_orbit_evidence_matches_lockstep_reference(case):
+    assert _orbit_evidence(*case) == _reference_evidence(*case)
+
+
+@pytest.mark.parametrize(
+    "links, flagged",
+    [
+        (((4, 1),), True),  # orbit 1 vanishes on the last link
+        (((4, 1), (4, 1)), False),  # it vanishes before the last link
+        (((1, 10**9),), True),  # orbit 1 passes the cap on the last link
+        (((1, 10**9), (4, 1)), False),
+        (((1, 1),), True),  # orbit 1 is still running when the links end
+    ],
+)
+def test_orbit_evidence_horizon_counts_the_last_link(links, flagged):
+    seq = ExplicitSequence(links)
+    evidence = _orbit_evidence(seq, 1, 1, 5)
+    assert evidence["horizon_exhausted"] is flagged
+    assert evidence == _reference_evidence(seq, 1, 1, 5)
+
+
+def test_orbit_evidence_exact_beyond_int64():
+    # 2*m*v passes 2^63 here: int64 orbits wrapped and reported 2777
+    # vanishing orbits.  Link 1 maps v to 2v - 1; link i >= 2 fixes every
+    # v <= 2i^4 - 1, so no orbit vanishes.
+    seq = GeneratorSequence(n_poly=parse_poly("2*i^4 - 1"), m_poly=parse_poly("i^4"))
+    evidence = _orbit_evidence(seq, 3000, 1, 10_000)
+    assert evidence["orbits_vanishing"] == 0
+    assert evidence["unresolved_sample"] == [[k, 1, 2 * k - 1] for k in range(1, 9)]
+
+
+def test_orbit_decide_degree_five_generator_is_unknown():
+    seq = GeneratorSequence(n_poly=parse_poly("2*i^5 - 1"), m_poly=parse_poly("i^5"))
+    v = orbit_decide(seq)
+    assert v.outcome == UNKNOWN
+    assert v.evidence["orbits_vanishing"] == 0
+
+
+def test_decide_unknown_does_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from toroshrink import ExplicitSequence, decide\n"
+        "v = decide(ExplicitSequence(((3, 1), (5, 2))))\n"
+        "print(v.outcome, 'orbits_vanishing' in v.evidence, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(toroshrink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["unknown", "True", "False"]
 
 
 # -- aggregation -----------------------------------------------------------------
