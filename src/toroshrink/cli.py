@@ -21,16 +21,14 @@ from .freegroup import format_word
 from .linkio import (
     LinkPresentation,
     PDCode,
-    PDError,
-    parse_link_spec,
+    builtin,
     parse_pd,
     wirtinger,
 )
 from .magnus import expand, format_series
 from .milnor import MilnorError, all_multi_indices, longitude_word, mubar
-from .sequences import SequenceError, parse_sequence_config, sequence_to_config
+from .sequences import parse_sequence_config, sequence_to_config
 from .shrink import (
-    CertificateError,
     decide,
     verify_certificate,
     DEFAULT_K_MAX,
@@ -66,7 +64,7 @@ def _load_link(args):
         return parse_pd(args.pd_text)
     spec = getattr(args, "builtin", None) or getattr(args, "link", None)
     if spec:
-        return parse_link_spec(spec)
+        return builtin(spec)
     raise ValueError("no link given: use --pd, --pd-text, or --builtin")
 
 
@@ -343,10 +341,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         code = args.fn(args)
-    except (PDError, MilnorError, SequenceError, CertificateError, ValueError) as exc:
-        print(f"toroshrink: error: {exc}", file=sys.stderr)
-        return ERROR_EXIT
-    except OSError as exc:
+    except (ValueError, LookupError, OSError) as exc:
         print(f"toroshrink: error: {exc}", file=sys.stderr)
         return ERROR_EXIT
     return code

@@ -34,10 +34,10 @@ __all__ = [
     "TabulatedFn",
     "WitnessError",
     "ceil_div",
+    "chain_step",
     "nm_drf",
     "lower_milnor_drf",
     "nm_lower_drf",
-    "evaluate",
     "compose",
     "combine_directions",
 ]
@@ -54,6 +54,11 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError("denominator must be positive")
     return -((-a) // b)
+
+
+def chain_step(spec: NMLinkSpec, k: int) -> int:
+    """D(k) = max(ceil(2mk/n) - 1, 0) of the (n,m) chain link, for k >= 0."""
+    return max(-(-2 * spec.m * k // spec.n) - 1, 0)
 
 
 class DiscFn:
@@ -80,9 +85,7 @@ class ExactChainFn(DiscFn):
     direction = "exact"
 
     def evaluate(self, k: int) -> int:
-        if k == 0:
-            return 0
-        return max(ceil_div(2 * self.spec.m * k, self.spec.n) - 1, 0)
+        return chain_step(self.spec, k)
 
     def describe(self) -> str:
         n, m = self.spec.n, self.spec.m
@@ -213,10 +216,6 @@ def nm_lower_drf(spec: NMLinkSpec | tuple[int, int], verify: bool = True) -> Mil
             note="degree-m cover, one chain copy kept, n-2 blow-downs",
         )
     return lower_milnor_drf([derivation], verify=verify)
-
-
-def evaluate(f: DiscFn, k: int) -> int:
-    return f(k)
 
 
 def compose(fs: Sequence[DiscFn], k: int) -> list[int]:

@@ -110,18 +110,8 @@ class Word:
             out = out * base
         return out
 
-    def conjugated_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)
-
-    def exponent_vector(self) -> tuple[int, ...]:
-        vec = [0] * self.rank
-        for g, s in self.letters:
-            vec[g] += s
-        return tuple(vec)
 
 
 class FreeGroup:

@@ -60,7 +60,6 @@ __all__ = [
     "CoverDerivation",
     "LinkData",
     "builtin",
-    "parse_link_spec",
     "pd_fixture",
     "bing_axis_pd",
     "nm_presentation",
@@ -876,17 +875,3 @@ def builtin(name: str, n: int | None = None, m: int | None = None) -> LinkData:
         return nm_presentation(NMLinkSpec(2, 1))
     raise ValueError(f"unknown builtin link {name!r}")
 
-
-def parse_link_spec(spec: str) -> LinkData:
-    """Parse a CLI/config link spec: a builtin name or nm(n,m)."""
-    return builtin(spec)
-
-
-def link_components(link: LinkData) -> tuple[int, ...]:
-    if isinstance(link, PDCode):
-        return link.component_labels
-    return link.labels
-
-
-def link_linking_number(link: LinkData, i: int, j: int) -> int:
-    return link.linking_number(i, j)

@@ -20,14 +20,17 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
+from .drf import chain_step
 from .linkio import NMLinkSpec
 
 __all__ = [
     "IntPoly",
     "parse_poly",
     "LinkSequence",
+    "Period",
     "PeriodicSequence",
     "EventuallyPeriodicSequence",
     "GeneratorSequence",
@@ -37,6 +40,7 @@ __all__ = [
     "SequenceError",
     "parse_sequence_config",
     "sequence_to_config",
+    "partial_products",
     "tau",
 ]
 
@@ -278,8 +282,52 @@ def tau(spec: NMLinkSpec) -> Fraction:
     return Fraction(spec.n, 2 * spec.m)
 
 
+def partial_products(taus: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The running products t_1, t_1 t_2, t_1 t_2 t_3, ..."""
+    out = []
+    p = Fraction(1)
+    for t in taus:
+        p *= t
+        out.append(p)
+    return tuple(out)
+
+
+class Period:
+    """The prefix and one period of a periodic or eventually periodic
+    sequence, with the exact tau data the criteria read.
+
+    `taus` are the ratios n/(2m) of the period's links and `product` is
+    their product; the orbit slope prod 2m/n of one period is its inverse.
+    `block_partials` are the running products of `taus`, and `partials`
+    the running products prod_{i<=j} tau_i over the prefix and one period.
+    """
+
+    def __init__(self, prefix: tuple[NMLinkSpec, ...], links: tuple[NMLinkSpec, ...]):
+        self.prefix = prefix
+        self.links = links
+        self.taus = tuple(tau(spec) for spec in links)
+        self.block_partials = partial_products(self.taus)
+        self.product = self.block_partials[-1]
+        head = partial_products(tau(spec) for spec in prefix)
+        base = head[-1] if head else Fraction(1)
+        self.partials = head + tuple(base * p for p in self.block_partials)
+
+    @property
+    def slope(self) -> Fraction:
+        return 1 / self.product
+
+    def composite(self, k: int) -> int:
+        """g(k): the composed disc replicating functions of one period."""
+        for spec in self.links:
+            k = chain_step(spec, k)
+        return k
+
+
 class LinkSequence:
-    """Interface: link(i) for i >= 1, known_bound() (None = total)."""
+    """Interface: link(i) for i >= 1, known_bound() (None = total), and
+    one_period, the `Period` of the periodic variants (None otherwise)."""
+
+    one_period: Period | None = None
 
     def link(self, i: int) -> NMLinkSpec:  # pragma: no cover
         raise NotImplementedError
@@ -316,6 +364,10 @@ class PeriodicSequence(LinkSequence):
     def period(self) -> int:
         return len(self.links)
 
+    @cached_property
+    def one_period(self) -> Period:
+        return Period((), self.links)
+
     def link(self, i: int) -> NMLinkSpec:
         if i < 1:
             raise SequenceError("sequence indices start at 1")
@@ -332,6 +384,10 @@ class EventuallyPeriodicSequence(LinkSequence):
         object.__setattr__(self, "tail", _coerce_specs(self.tail))
         if not self.tail:
             raise SequenceError("periodic tail must contain at least one link")
+
+    @cached_property
+    def one_period(self) -> Period:
+        return Period(self.prefix, self.tail)
 
     def link(self, i: int) -> NMLinkSpec:
         if i < 1:

@@ -30,17 +30,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .drf import nm_drf
+from .drf import chain_step
 from .sequences import (
-    EventuallyPeriodicSequence,
     ExplicitSequence,
     GapSequence,
     GeneratorSequence,
     HorizonError,
     IntPoly,
     LinkSequence,
+    Period,
     PeriodicSequence,
-    tau,
+    partial_products,
 )
 
 __all__ = [
@@ -147,60 +147,22 @@ def _taus(seq: LinkSequence, upto: int) -> list[Fraction]:
     return [seq.tau(i) for i in range(1, upto + 1)]
 
 
-def _partial_products(taus: list[Fraction]) -> list[Fraction]:
-    out = []
-    p = Fraction(1)
-    for t in taus:
-        p *= t
-        out.append(p)
-    return out
-
-
-def _period_of(seq: LinkSequence):
-    """(prefix_length, period_links) for the periodic variants, else None."""
-    if isinstance(seq, PeriodicSequence):
-        return 0, seq.links
-    if isinstance(seq, EventuallyPeriodicSequence):
-        return len(seq.prefix), seq.tail
-    return None
-
-
-def _slope(links) -> Fraction:
-    a = Fraction(1)
-    for spec in links:
-        a *= Fraction(2 * spec.m, spec.n)
-    return a
-
-
-def _compose_period(links, k: int) -> int:
-    v = k
-    for spec in links:
-        if v:
-            v = max(-((-2 * spec.m * v) // spec.n) - 1, 0)
-    return v
-
-
 # -- the periodic product criterion ----------------------------------------------
 
 
 def periodic_product(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """Exact decision for (eventually) periodic sequences: shrinks iff the
     product of tau over one period is at least 1."""
-    info = _period_of(seq)
-    if info is None:
+    period = seq.one_period
+    if period is None:
         return None
-    prefix_len, links = info
-    taus = [tau(spec) for spec in links]
-    product = Fraction(1)
-    for t in taus:
-        product *= t
-    outcome = SHRINKS if product >= 1 else DOES_NOT_SHRINK
+    outcome = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
     cert = {
         "kind": "periodic_product",
-        "period": len(links),
-        "prefix_skipped": prefix_len,
-        "taus": [str(t) for t in taus],
-        "product": str(product),
+        "period": len(period.links),
+        "prefix_skipped": len(period.prefix),
+        "taus": [str(t) for t in period.taus],
+        "product": str(period.product),
         "shrinks_iff": "product >= 1",
     }
     return ShrinkVerdict(outcome, "periodic_product", cert, seq)
@@ -209,17 +171,16 @@ def periodic_product(seq: LinkSequence) -> Optional[ShrinkVerdict]:
 # -- strictly expanding stages -----------------------------------------------------
 
 
-def sher_armentrout(seq: LinkSequence, probe_horizon: int = _PROBE) -> Optional[ShrinkVerdict]:
+def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """No-shrink when n_i < 2 m_i for every i.
 
     The hypothesis is checked finitely for the periodic variants and
     symbolically (polynomial positivity of 2m - n - 1) for generators;
     it is never concluded from probing alone.
     """
-    info = _period_of(seq)
-    if info is not None:
-        prefix_len, links = info
-        specs = (list(seq.prefix) if prefix_len else []) + list(links)
+    period = seq.one_period
+    if period is not None:
+        specs = period.prefix + period.links
         if all(spec.n < 2 * spec.m for spec in specs):
             cert = {
                 "kind": "sher_armentrout",
@@ -262,26 +223,12 @@ def _generator_branches(seq: GeneratorSequence):
 # -- convergence of sum prod tau ---------------------------------------------------
 
 
-def _periodic_exact_sum(seq: LinkSequence):
-    """Exact value of sum_j prod_{i<=j} tau_i for periodic variants with
-    period product < 1; None when the series diverges or variant mismatch."""
-    info = _period_of(seq)
-    if info is None:
-        return None
-    prefix_len, links = info
-    r = Fraction(1)
-    for spec in links:
-        r *= tau(spec)
-    if r >= 1:
-        return None
-    upto = prefix_len + len(links)
-    taus = _taus(seq, upto)
-    partials = _partial_products(taus)
-    prefix_sum = sum(partials[:prefix_len], Fraction(0))
-    prefix_product = partials[prefix_len - 1] if prefix_len else Fraction(1)
-    block = [p / prefix_product for p in partials[prefix_len:]]
-    total = prefix_sum + prefix_product * sum(block, Fraction(0)) / (1 - r)
-    return total, r, partials
+def _periodic_exact_sum(period: Period) -> Fraction:
+    """Exact value of sum_j prod_{i<=j} tau_i when the period product is
+    < 1: the prefix terms, plus the first period's terms over 1 - product."""
+    head = len(period.prefix)
+    tail = sum(period.partials[head:], Fraction(0)) / (1 - period.product)
+    return sum(period.partials[:head], Fraction(0)) + tail
 
 
 def convergent_tau_series(
@@ -314,7 +261,7 @@ def convergent_tau_series(
         probe_to = _PROBE
         if seq.known_bound() is not None:
             probe_to = min(probe_to, seq.known_bound())
-        partials = _partial_products(_taus(seq, probe_to))
+        partials = partial_products(_taus(seq, probe_to))
         sums = []
         acc = Fraction(0)
         for p in partials:
@@ -340,14 +287,14 @@ def convergent_tau_series(
 
 
 def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
-    exact = _periodic_exact_sum(seq)
-    if exact is not None:
-        total, r, partials = exact
+    period = seq.one_period
+    if period is not None and period.product < 1:
+        total = _periodic_exact_sum(period)
         k0 = int(total) + 1
         cert = {
             "kind": "convergent_tau_series",
             "method": "periodic_geometric",
-            "block_product": str(r),
+            "block_product": str(period.product),
             "exact_sum": str(total),
             "k0": k0,
         }
@@ -380,30 +327,26 @@ def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
 def _validate_geometric(seq: LinkSequence, cert: GeometricRatio) -> None:
     if cert.r >= 1 or cert.r <= 0:
         raise CertificateError("geometric ratio must satisfy 0 < r < 1")
-    info = _period_of(seq)
+    period = seq.one_period
     if cert.block != 1:
-        if info is None or cert.block != len(info[1]):
+        if period is None or cert.block != len(period.links):
             raise CertificateError("blockwise ratios only apply to the period length")
-        if cert.i0 != info[0] + 1:
+        if cert.i0 != len(period.prefix) + 1:
             raise CertificateError("blockwise ratios must start at the periodic tail")
-    if info is not None:
-        prefix_len, links = info
+    if period is not None:
+        prefix_len = len(period.prefix)
         if cert.block == 1:
             # every periodic position recurs beyond any i0, so all must obey r
-            for offset, spec in enumerate(list(links)):
-                if tau(spec) > cert.r:
+            for offset, t in enumerate(period.taus):
+                if t > cert.r:
                     raise CertificateError(
                         f"tau at index {prefix_len + offset + 1} exceeds r"
                     )
             for i in range(cert.i0, prefix_len + 1):
                 if seq.tau(i) > cert.r:
                     raise CertificateError(f"tau at index {i} exceeds r")
-        else:
-            product = Fraction(1)
-            for spec in links:
-                product *= tau(spec)
-            if product > cert.r:
-                raise CertificateError("period product exceeds the declared block ratio")
+        elif period.product > cert.r:
+            raise CertificateError("period product exceeds the declared block ratio")
         return
     if isinstance(seq, GeneratorSequence):
         if cert.block != 1:
@@ -440,20 +383,14 @@ def _index_for_branch(name: str, s: int) -> int:
 def _geometric_bound(seq: LinkSequence, cert: GeometricRatio):
     """Exact upper bound for the tau series from a validated ratio claim."""
     i0 = cert.i0
-    taus = _taus(seq, i0 - 1)
-    partials = _partial_products(taus)
+    partials = partial_products(_taus(seq, i0 - 1))
     prefix_sum = sum(partials, Fraction(0))
     p0 = partials[-1] if partials else Fraction(1)
     if cert.block == 1:
         tail = p0 * cert.r / (1 - cert.r)
     else:
-        info = _period_of(seq)
-        prefix_len, links = info
-        upto = prefix_len + len(links)
-        all_partials = _partial_products(_taus(seq, upto))
-        base = all_partials[prefix_len - 1] if prefix_len else Fraction(1)
-        block_partials = [p / base for p in all_partials[prefix_len:]]
-        tail = p0 * sum(block_partials, Fraction(0)) / (1 - cert.r)
+        # validated: the blocks are whole periods, starting after the prefix
+        tail = p0 * sum(seq.one_period.block_partials, Fraction(0)) / (1 - cert.r)
     bound = prefix_sum + tail
     return bound, int(bound) + 1, partials
 
@@ -470,21 +407,18 @@ def divergent_weighted_tau_series(
         if certificate is None:
             return None
     if isinstance(certificate, PeriodicProduct):
-        info = _period_of(seq)
-        if info is None:
+        period = seq.one_period
+        if period is None:
             raise CertificateError("periodic-product certificates need a periodic sequence")
-        prefix_len, links = info
-        product = Fraction(1)
-        for spec in links:
-            product *= tau(spec)
-        if product < 1:
+        if period.product < 1:
             raise CertificateError("period product is below 1")
-        delta, n_max = _periodic_term_floor(seq)
+        n_max = _sup_widths(seq)
         cert = {
             "kind": "divergent_weighted_tau_series",
             "method": "periodic_product",
-            "product": str(product),
-            "term_floor": str(delta / n_max),
+            "product": str(period.product),
+            # with period product >= 1 no later partial product is smaller
+            "term_floor": str(min(period.partials) / n_max),
             "n_max": n_max,
         }
         return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
@@ -500,29 +434,10 @@ def divergent_weighted_tau_series(
     raise CertificateError(f"unsupported certificate {certificate!r}")
 
 
-def _periodic_term_floor(seq: LinkSequence):
-    """A positive lower bound for the partial products prod_{i<=j} tau_i,
-    valid for all j when the period product is >= 1."""
-    prefix_len, links = _period_of(seq)
-    upto = prefix_len + len(links)
-    partials = _partial_products(_taus(seq, upto))
-    base = partials[prefix_len - 1] if prefix_len else Fraction(1)
-    block_min = min(p / base for p in partials[prefix_len:])
-    delta = min(partials[:prefix_len] + [base * block_min])
-    n_max = max(spec.n for spec in links)
-    if prefix_len:
-        n_max = max(n_max, max(spec.n for spec in seq.prefix))
-    return delta, n_max
-
-
 def _auto_divergent_cert(seq: LinkSequence):
-    info = _period_of(seq)
-    if info is not None:
-        _, links = info
-        product = Fraction(1)
-        for spec in links:
-            product *= tau(spec)
-        return PeriodicProduct() if product >= 1 else None
+    period = seq.one_period
+    if period is not None:
+        return PeriodicProduct() if period.product >= 1 else None
     if isinstance(seq, GeneratorSequence):
         branches = _generator_branches(seq)
         # need bounded widths and tau >= 1 throughout
@@ -546,19 +461,15 @@ def _validate_harmonic(seq: LinkSequence, cert: HarmonicComparison) -> None:
         taus = _taus(seq, probe_to)
     except HorizonError:
         raise CertificateError("cannot validate on an explicit tail-unknown sequence")
-    partials = _partial_products(taus)
+    partials = partial_products(taus)
     for j in range(cert.i0, probe_to + 1):
         term = partials[j - 1] / seq.link(j).n
         if term < Fraction(cert.c, j):
             raise CertificateError(f"weighted term at index {j} falls below c/j")
     # beyond the probe window the claim must hold structurally
-    info = _period_of(seq)
-    if info is not None:
-        _, links = info
-        product = Fraction(1)
-        for spec in links:
-            product *= tau(spec)
-        if product < 1:
+    period = seq.one_period
+    if period is not None:
+        if period.product < 1:
             raise CertificateError(
                 "periodic weighted terms decay geometrically (period product < 1); "
                 "no harmonic floor can hold"
@@ -585,38 +496,38 @@ def _validate_harmonic(seq: LinkSequence, cert: HarmonicComparison) -> None:
 def bounded_widths(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """When sup n_i < infinity the tau series decides both ways: shrinks
     iff sum prod tau diverges."""
+    if _sup_widths(seq) is None:
+        return None
+    convergent = convergent_tau_series(seq)
+    divergent = divergent_weighted_tau_series(seq) if convergent is None else None
+    return _bounded_widths(seq, convergent, divergent)
+
+
+def _bounded_widths(seq, convergent, divergent) -> Optional[ShrinkVerdict]:
+    """The bounded-widths verdict read off the automatic verdicts of the
+    two tau-series criteria."""
     sup_n = _sup_widths(seq)
     if sup_n is None:
         return None
-    inner = _auto_convergent(seq)
-    if inner is not None:
-        cert = {
-            "kind": "bounded_widths",
-            "sup_n": sup_n,
-            "decision": "tau series converges",
-            "inner": inner.certificate,
-        }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "bounded_widths", cert, seq)
-    divergence = divergent_weighted_tau_series(seq)
-    if divergence is not None:
-        cert = {
-            "kind": "bounded_widths",
-            "sup_n": sup_n,
-            "decision": "tau series diverges",
-            "inner": divergence.certificate,
-        }
-        return ShrinkVerdict(SHRINKS, "bounded_widths", cert, seq)
-    return None
+    if convergent is not None:
+        inner, outcome, decision = convergent, DOES_NOT_SHRINK, "tau series converges"
+    elif divergent is not None:
+        inner, outcome, decision = divergent, SHRINKS, "tau series diverges"
+    else:
+        return None
+    cert = {
+        "kind": "bounded_widths",
+        "sup_n": sup_n,
+        "decision": decision,
+        "inner": inner.certificate,
+    }
+    return ShrinkVerdict(outcome, "bounded_widths", cert, seq)
 
 
 def _sup_widths(seq: LinkSequence) -> Optional[int]:
-    info = _period_of(seq)
-    if info is not None:
-        prefix_len, links = info
-        widths = [spec.n for spec in links]
-        if prefix_len:
-            widths += [spec.n for spec in seq.prefix]
-        return max(widths)
+    period = seq.one_period
+    if period is not None:
+        return max(spec.n for spec in period.prefix + period.links)
     if isinstance(seq, GeneratorSequence):
         branches = _generator_branches(seq)
         if all(n_poly.is_constant() for _, n_poly, _, _ in branches):
@@ -649,7 +560,7 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
             UNKNOWN,
             "ancel_starbird",
             cert,
-            seq if seq is not None else ExplicitSequence(((2, 1),)),
+            seq,
             evidence={"reason": "gap tail is undeclared"},
         )
     if gaps.kind == "periodic":
@@ -723,27 +634,18 @@ def _ratio_test_start(poly: IntPoly, r: Fraction) -> int:
     raise CertificateError("ratio test start not found")  # pragma: no cover
 
 
-def _gap_sequence_links(gaps: GapSequence) -> LinkSequence | None:
-    """The link sequence a gap description generates, where expressible."""
-    if gaps.kind == "periodic":
-        links = []
-        for c in gaps.values:
-            links.extend([(2, 1)] * c)
-            links.append((1, 1))
-        return PeriodicSequence(tuple(links))
-    if gaps.kind == "explicit":
-        links = []
-        for c in gaps.values:
-            links.extend([(2, 1)] * c)
-            links.append((1, 1))
-        return ExplicitSequence(tuple(links)) if links else None
-    horizon = 12
+def _gap_sequence_links(gaps: GapSequence) -> LinkSequence:
+    """The link sequence a gap description generates.  Closed-form gaps
+    are cut down to their first 12 gaps, or fewer past 4096 links."""
+    declared = gaps.kind in ("periodic", "explicit")
     links = []
-    for i in range(1, horizon + 1):
-        links.extend([(2, 1)] * gaps.gap(i))
+    for c in gaps.values if declared else map(gaps.gap, range(1, 13)):
+        links.extend([(2, 1)] * c)
         links.append((1, 1))
-        if len(links) > 4096:
+        if not declared and len(links) > 4096:
             break
+    if gaps.kind == "periodic":
+        return PeriodicSequence(tuple(links))
     return ExplicitSequence(tuple(links))
 
 
@@ -773,9 +675,9 @@ def orbit_decide(
     """
     if k_max < 1 or m_max < 1 or p_max < 1:
         raise ValueError("horizons must be >= 1")
-    info = _period_of(seq)
-    if info is not None:
-        verdict = _decide_periodic_orbits(seq, info, k_max)
+    period = seq.one_period
+    if period is not None:
+        verdict = _decide_periodic_orbits(seq, period, k_max)
         cross = periodic_product(seq)
         if cross.outcome != verdict.outcome:
             raise VerdictConsistencyError(
@@ -842,6 +744,7 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
             # link fetched at the frontier
             for n, two_m in links[pos:end]:
                 pos += 1
+                # drf.chain_step inlined: a call per step would dominate
                 v = -(-two_m * v // n) - 1  # f(v), >= 0 since v >= 1
                 if not v:
                     return 0, pos - start
@@ -886,25 +789,23 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
     }
 
 
-def _spec_check_bound(links) -> int:
+def _spec_check_bound(period: Period) -> int:
     """Finite verification range for the one-period composite."""
-    a = _slope(links)
-    bound = (a.numerator + a.denominator) * len(links)
+    a = period.slope
+    bound = (a.numerator + a.denominator) * len(period.links)
     return max(1, min(bound, 100_000))
 
 
-def _decide_periodic_orbits(seq, info, k_max) -> ShrinkVerdict:
-    prefix_len, links = info
-    links = list(links)
-    a = _slope(links)
+def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
+    a = period.slope
     if a <= 1:
-        k_star = min(max(_spec_check_bound(links), k_max), 4096)
+        k_star = min(max(_spec_check_bound(period), k_max), 4096)
         for k in range(1, k_star + 1):
-            if _compose_period(links, k) >= k:
+            if period.composite(k) >= k:
                 raise VerdictConsistencyError(
                     f"slope {a} <= 1 but the period composite does not descend at {k}"
                 )
-        trace = _trace_orbit(links, min(k_max, 8))
+        trace = _trace_orbit(period.links, min(k_max, 8))
         cert = {
             "kind": "orbit_periodic",
             "slope": str(a),
@@ -914,22 +815,16 @@ def _decide_periodic_orbits(seq, info, k_max) -> ShrinkVerdict:
             "sample_orbit": trace,
         }
         return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
-    offsets = Fraction(0)
-    running = Fraction(1)
-    for spec in reversed(links):
-        offsets += running
-        running *= Fraction(2 * spec.m, spec.n)
+    # sum over j of prod_{i>j} 2m_i/n_i, the slope times sum_j prod_{i<=j} tau_i
+    offsets = a * sum(period.block_partials, Fraction(0))
     k0 = int(offsets / (a - 1)) + 1
-    v = _compose_period(links, k0)
-    if v < k0:
-        raise VerdictConsistencyError(
-            f"slope {a} > 1 but g({k0}) = {v} < {k0}"
-        )
     one_period = [k0]
-    value = k0
-    for spec in links:
-        value = nm_drf(spec)(value)
-        one_period.append(value)
+    for spec in period.links:
+        one_period.append(chain_step(spec, one_period[-1]))
+    if one_period[-1] < k0:
+        raise VerdictConsistencyError(
+            f"slope {a} > 1 but g({k0}) = {one_period[-1]} < {k0}"
+        )
     cert = {
         "kind": "orbit_periodic",
         "slope": str(a),
@@ -938,7 +833,7 @@ def _decide_periodic_orbits(seq, info, k_max) -> ShrinkVerdict:
         "period_trace_from_k0": one_period,
         "monotone_argument": "g is monotone with g(k0) >= k0, so the orbit of "
         "k0 from the start of any period never drops below k0",
-        "start_index": prefix_len + 1,
+        "start_index": len(period.prefix) + 1,
     }
     return ShrinkVerdict(DOES_NOT_SHRINK, "orbit_periodic", cert, seq)
 
@@ -948,7 +843,7 @@ def _trace_orbit(links, k: int) -> list[int]:
     v = k
     for _ in range(200):
         for spec in links:
-            v = nm_drf(spec)(v)
+            v = chain_step(spec, v)
             values.append(v)
         if v == 0:
             break
@@ -1016,11 +911,10 @@ def _verify_telescoping_numerically(seq, first, s_max, k_max) -> bool:
         if i < 1:
             continue
         spec1, spec2 = seq.link(i), seq.link(i + 1)
-        f1, f2 = nm_drf(spec1), nm_drf(spec2)
         c = 2 * spec1.m // spec1.n
         for k in (1, 2, 3, 5, 17, k_max):
             expected = k - 1 if c > 1 else max(k - 2, 0)
-            if f2(f1(k)) != expected:
+            if chain_step(spec2, chain_step(spec1, k)) != expected:
                 return False
     return True
 
@@ -1047,17 +941,19 @@ def decide(
 ) -> ShrinkVerdict:
     """Run every applicable criterion, enforce agreement, and return the
     strongest verdict (Unknown with orbit evidence when nothing fires)."""
-    verdicts: list[ShrinkVerdict] = []
-    for op in (
-        periodic_product,
-        sher_armentrout,
-        bounded_widths,
-        convergent_tau_series,
-        divergent_weighted_tau_series,
-    ):
-        v = op(seq)
-        if v is not None:
-            verdicts.append(v)
+    convergent = convergent_tau_series(seq)
+    divergent = divergent_weighted_tau_series(seq)
+    verdicts = [
+        v
+        for v in (
+            periodic_product(seq),
+            sher_armentrout(seq),
+            _bounded_widths(seq, convergent, divergent),
+            convergent,
+            divergent,
+        )
+        if v is not None
+    ]
     orbit_verdict = orbit_decide(
         seq, k_max, m_max, p_max, collect_evidence=not verdicts
     )
@@ -1102,29 +998,23 @@ def _verify(verdict: ShrinkVerdict) -> bool:
     cert = verdict.certificate
     kind = cert.get("kind")
     seq = verdict.sequence
+    period = seq.one_period
     if kind == "periodic_product":
-        info = _period_of(seq)
-        if info is None or len(info[1]) != cert["period"]:
+        if period is None or len(period.links) != cert["period"]:
             return False
-        taus = [tau(spec) for spec in info[1]]
-        if [str(t) for t in taus] != cert["taus"]:
+        if [str(t) for t in period.taus] != cert["taus"]:
             return False
-        product = Fraction(1)
-        for t in taus:
-            product *= t
-        if str(product) != cert["product"]:
+        if str(period.product) != cert["product"]:
             return False
-        expected = SHRINKS if product >= 1 else DOES_NOT_SHRINK
+        expected = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
         return verdict.outcome == expected
     if kind == "sher_armentrout":
         if verdict.outcome != DOES_NOT_SHRINK:
             return False
         if cert["scope"] == "finite":
-            info = _period_of(seq)
-            if info is None:
+            if period is None:
                 return False
-            prefix_len, links = info
-            specs = (list(seq.prefix) if prefix_len else []) + list(links)
+            specs = period.prefix + period.links
             if [[s.n, s.m] for s in specs] != cert["checked"]:
                 return False
             return all(s.n < 2 * s.m for s in specs)
@@ -1143,13 +1033,12 @@ def _verify(verdict: ShrinkVerdict) -> bool:
             return False
         method = cert["method"]
         if method == "periodic_geometric":
-            exact = _periodic_exact_sum(seq)
-            if exact is None:
+            if period is None or period.product >= 1:
                 return False
-            total, r, _ = exact
+            total = _periodic_exact_sum(period)
             return (
                 str(total) == cert["exact_sum"]
-                and str(r) == cert["block_product"]
+                and str(period.product) == cert["block_product"]
                 and cert["k0"] == int(total) + 1
                 and cert["k0"] > total
             )
@@ -1167,7 +1056,7 @@ def _verify(verdict: ShrinkVerdict) -> bool:
             )
         if method == "user_bound":
             bound = Fraction(cert["bound"])
-            partials = _partial_products(_taus(seq, cert.get("probed_to", _PROBE)))
+            partials = partial_products(_taus(seq, cert.get("probed_to", _PROBE)))
             acc = Fraction(0)
             for p in partials:
                 acc += p
@@ -1180,16 +1069,11 @@ def _verify(verdict: ShrinkVerdict) -> bool:
             return False
         method = cert["method"]
         if method == "periodic_product":
-            info = _period_of(seq)
-            if info is None:
+            if period is None:
                 return False
-            product = Fraction(1)
-            for spec in info[1]:
-                product *= tau(spec)
-            if str(product) != cert["product"] or product < 1:
+            if str(period.product) != cert["product"] or period.product < 1:
                 return False
-            delta, n_max = _periodic_term_floor(seq)
-            return str(delta / n_max) == cert["term_floor"]
+            return str(min(period.partials) / _sup_widths(seq)) == cert["term_floor"]
         if method == "harmonic_comparison":
             _validate_harmonic(
                 seq, HarmonicComparison(c=Fraction(cert["c"]), i0=cert["i0"])
@@ -1272,11 +1156,10 @@ def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
 
 def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
     cert = verdict.certificate
-    info = _period_of(verdict.sequence)
-    if info is None:
+    period = verdict.sequence.one_period
+    if period is None:
         return False
-    links = list(info[1])
-    a = _slope(links)
+    a = period.slope
     if str(a) != cert["slope"]:
         return False
     if verdict.outcome == SHRINKS:
@@ -1284,20 +1167,20 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
             return False
         upto = min(cert["checked_upto"], 4096)
         for k in range(1, upto + 1):
-            if _compose_period(links, k) >= k:
+            if period.composite(k) >= k:
                 return False
         trace = cert.get("sample_orbit", [])
-        return _replay_trace(links, trace)
+        return _replay_trace(period.links, trace)
     if verdict.outcome == DOES_NOT_SHRINK:
         if a <= 1:
             return False
         k0 = cert["k0"]
-        if _compose_period(links, k0) < k0:
+        if period.composite(k0) < k0:
             return False
         trace = cert.get("period_trace_from_k0", [])
         if trace and trace[0] != k0:
             return False
-        return _replay_trace(links, trace, single_period=True)
+        return _replay_trace(period.links, trace, single_period=True)
     return False
 
 
@@ -1305,12 +1188,14 @@ def _replay_trace(links, trace, single_period=False) -> bool:
     if not trace:
         return True
     v = trace[0]
+    if v < 0:  # disc replicating functions are defined on k >= 0
+        return False
     pos = 1
     steps = links if single_period else links * ((len(trace) // len(links)) + 1)
     for spec in steps:
         if pos >= len(trace):
             break
-        v = nm_drf(spec)(v)
+        v = chain_step(spec, v)
         if trace[pos] != v:
             return False
         pos += 1

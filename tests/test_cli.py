@@ -143,6 +143,19 @@ def test_drf_orbit(tmp_path, capsys):
     assert out.strip() == "5 -> 4 -> 3 -> 2 -> 1 -> 0 -> 0 -> 0"
 
 
+def test_drf_orbit_past_explicit_data_exits_three(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "explicit", "links": ["bing", "bing"]}), encoding="utf-8"
+    )
+    code, out, err = run(
+        capsys, "drf", "orbit", "--sequence", str(path), "--k", "3", "--steps", "5"
+    )
+    assert code == 3
+    assert out == ""
+    assert "link 3 beyond the declared data" in err
+
+
 def test_horizon_env_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seq.json"
     path.write_text(

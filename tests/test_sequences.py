@@ -2,7 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from toroshrink.drf import compose, nm_drf
 from toroshrink.linkio import NMLinkSpec
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
@@ -228,3 +230,62 @@ def test_gap_sequence_rejects_negative():
 
 def test_tau_helper():
     assert tau(NMLinkSpec(3, 2)) == Fraction(3, 4)
+
+
+# -- the Period of the periodic variants ---------------------------------------
+#
+# The criteria and the certificate verifier both read `one_period`, so the
+# oracle below recomputes everything from seq.link(i) alone.
+
+_link_st = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def _periodic_case(draw):
+    prefix = draw(st.lists(_link_st, max_size=4))
+    links = draw(st.lists(_link_st, min_size=1, max_size=5))
+    if not prefix and draw(st.booleans()):
+        return PeriodicSequence(tuple(links)), 0, len(links)
+    return EventuallyPeriodicSequence(tuple(prefix), tuple(links)), len(prefix), len(links)
+
+
+@given(_periodic_case())
+def test_period_matches_a_link_by_link_oracle(case):
+    seq, prefix_len, p = case
+    specs = [seq.link(i) for i in range(1, prefix_len + p + 1)]
+    taus = [Fraction(s.n, 2 * s.m) for s in specs]
+    partials = []
+    running = Fraction(1)
+    for t in taus:
+        running *= t
+        partials.append(running)
+    product = Fraction(1)
+    for t in taus[prefix_len:]:
+        product *= t
+    slope = Fraction(1)
+    for s in specs[prefix_len:]:
+        slope *= Fraction(2 * s.m, s.n)
+
+    period = seq.one_period
+    assert period is seq.one_period
+    assert list(period.prefix) == specs[:prefix_len]
+    assert list(period.links) == specs[prefix_len:]
+    assert list(period.taus) == taus[prefix_len:]
+    assert period.product == product
+    assert period.slope == slope
+    assert list(period.partials) == partials
+    assert list(period.block_partials) == [
+        q / (partials[prefix_len - 1] if prefix_len else 1) for q in partials[prefix_len:]
+    ]
+    fns = [nm_drf(s) for s in specs[prefix_len:]]
+    for k in range(0, 25):
+        assert period.composite(k) == compose(fns, k)[-1]
+
+
+def test_period_is_none_off_the_periodic_variants():
+    assert GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1")).one_period is None
+    two_case = GeneratorSequence(
+        even_n=parse_poly("2"), even_m=parse_poly("1"), odd_n=parse_poly("1"), odd_m=parse_poly("1")
+    )
+    assert two_case.one_period is None
+    assert ExplicitSequence(((2, 1), (1, 1))).one_period is None

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import subprocess
@@ -549,6 +550,8 @@ def test_verify_rejects_swapped_sequence():
 def test_verify_rejects_tampered_k0():
     v = orbit_decide(PURE_WHITEHEAD)
     assert verify_certificate(_tamper(v, k0=0)) is False
+    # g(-3) = 0 >= -3, but no orbit starts below 0
+    assert verify_certificate(_tamper(v, k0=-3, period_trace_from_k0=[-3, 0])) is False
 
 
 def test_verify_rejects_tampered_gap_bound():
@@ -587,3 +590,138 @@ def test_raising_tau_preserves_divergence_certificate():
         _validate_harmonic(seq_a, HarmonicComparison(c=floor, i0=1))
         w = divergent_weighted_tau_series(seq_a)
         assert w is not None and w.outcome == SHRINKS
+
+
+# -- certificate bytes ----------------------------------------------------------------
+#
+# One verdict per certificate kind and method, serialized the way the CLI
+# reads them.  The expected strings in data/certificate_bytes.json were
+# captured from the code before the shrink module was restructured around
+# `Period`; a refactor must reproduce them byte for byte, so never
+# regenerate that file to make this test pass.
+
+CERTIFICATE_DATA = os.path.join(os.path.dirname(__file__), "data", "certificate_bytes.json")
+
+
+def _eventually(prefix, tail):
+    return EventuallyPeriodicSequence(prefix=prefix, tail=tail)
+
+
+def _two_case(even_n, even_m, odd_n, odd_m):
+    return GeneratorSequence(
+        even_n=parse_poly(even_n),
+        even_m=parse_poly(even_m),
+        odd_n=parse_poly(odd_n),
+        odd_m=parse_poly(odd_m),
+    )
+
+
+def _generator(n, m):
+    return GeneratorSequence(n_poly=parse_poly(n), m_poly=parse_poly(m))
+
+
+CERTIFICATE_CASES = {
+    "periodic_product": lambda: decide(_eventually(((1, 1), (3, 1)), ((2, 1), (3, 2)))),
+    "periodic_product_shrinks": lambda: decide(PeriodicSequence(((2, 1), (3, 1)))),
+    "sher_armentrout_finite": lambda: sher_armentrout(
+        _eventually(((1, 1),), ((3, 2), (1, 3)))
+    ),
+    "sher_armentrout_symbolic": lambda: decide(_two_case("2*s", "s+1", "1", "s+1")),
+    "bounded_widths_converges": lambda: decide(_generator("3", "i")),
+    "bounded_widths_diverges": lambda: decide(_generator("3", "1")),
+    "bounded_widths_periodic_converges": lambda: bounded_widths(
+        _eventually(((5, 1),), ((1, 1), (3, 1)))
+    ),
+    "bounded_widths_periodic_diverges": lambda: bounded_widths(
+        _eventually(((1, 2),), ((3, 1), (3, 2)))
+    ),
+    "convergent_periodic_geometric": lambda: convergent_tau_series(
+        _eventually(((3, 1), (2, 1)), ((1, 1), (5, 2)))
+    ),
+    "convergent_geometric_ratio_auto": lambda: convergent_tau_series(_generator("1", "i")),
+    "convergent_geometric_ratio_block_1": lambda: convergent_tau_series(
+        _eventually(((3, 1),), ((1, 1), (2, 3))), GeometricRatio(r=Fraction(1, 2), i0=2)
+    ),
+    "convergent_geometric_ratio_block_period": lambda: convergent_tau_series(
+        _eventually(((3, 1), (1, 2)), ((3, 1), (1, 2))),
+        GeometricRatio(r=Fraction(3, 8), i0=3, block=2),
+    ),
+    "convergent_user_bound": lambda: convergent_tau_series(
+        _eventually(((3, 1),), ((1, 1),)), UserBound(bound=Fraction(7, 2), note="by hand")
+    ),
+    "divergent_periodic_product": lambda: divergent_weighted_tau_series(
+        _eventually(((1, 1), (4, 1)), ((4, 1), (1, 1)))
+    ),
+    "divergent_periodic_product_supplied": lambda: divergent_weighted_tau_series(
+        _eventually(((2, 3),), ((5, 2), (3, 1))), PeriodicProduct()
+    ),
+    "divergent_harmonic_auto": lambda: divergent_weighted_tau_series(
+        _two_case("4", "1", "2", "1")
+    ),
+    "divergent_harmonic_supplied": lambda: divergent_weighted_tau_series(
+        _generator("2", "1"), HarmonicComparison(c=Fraction(1, 4), i0=3)
+    ),
+    "orbit_periodic_shrinks": lambda: orbit_decide(_eventually(((1, 3),), ((2, 1), (5, 2)))),
+    "orbit_periodic_does_not_shrink": lambda: orbit_decide(
+        _eventually(((2, 1), (7, 3)), ((1, 1), (3, 2)))
+    ),
+    "telescoping_pairs": lambda: decide(EXAMPLE_56),
+    "telescoping_pairs_slope_one": lambda: decide(
+        _two_case("2*s", "s", "2*s+2", "s+1"), k_max=12, m_max=3, p_max=200
+    ),
+    "orbit_evidence_generator": lambda: decide(_generator("2*i", "i"), k_max=20, m_max=4, p_max=300),
+    "orbit_evidence_two_case": lambda: decide(
+        _two_case("2*s", "s", "2*s+3", "s+1"), k_max=12, m_max=3, p_max=200
+    ),
+    "orbit_evidence_explicit": lambda: decide(
+        ExplicitSequence(((2, 1), (3, 1), (1, 1), (2, 1))), k_max=10, m_max=3, p_max=50
+    ),
+    "ancel_starbird_periodic_geometric": lambda: ancel_starbird(GapSequence.periodic([2, 0, 1])),
+    "ancel_starbird_ratio_test": lambda: ancel_starbird(GapSequence.from_poly("i^2+1")),
+    "ancel_starbird_term_bound": lambda: ancel_starbird(GapSequence.two_pow(2, parse_poly("i"))),
+    "ancel_starbird_zero_gaps": lambda: ancel_starbird(GapSequence.from_poly("0")),
+    "ancel_starbird_undetermined": lambda: ancel_starbird(GapSequence.explicit([3, 1, 4])),
+}
+
+
+def certificate_bytes(verdict) -> str:
+    return json.dumps(
+        {
+            "outcome": verdict.outcome,
+            "criterion": verdict.criterion,
+            "certificate": verdict.certificate,
+            "corroborating": verdict.corroborating,
+            "evidence": verdict.evidence,
+        },
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+def test_certificate_bytes_unchanged(name):
+    with open(CERTIFICATE_DATA, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    verdict = CERTIFICATE_CASES[name]()
+    assert certificate_bytes(verdict) == expected[name]
+    assert verify_certificate(verdict) is True
+
+
+def test_certificate_bytes_cover_every_case():
+    with open(CERTIFICATE_DATA, encoding="utf-8") as fh:
+        assert sorted(json.load(fh)) == sorted(CERTIFICATE_CASES)
+
+
+def test_decide_runs_the_automatic_convergence_check_once(monkeypatch):
+    from toroshrink import shrink
+
+    calls = []
+    original = shrink._auto_convergent
+
+    def counting(seq):
+        calls.append(seq)
+        return original(seq)
+
+    monkeypatch.setattr(shrink, "_auto_convergent", counting)
+    v = decide(_generator("3", "1"))
+    assert v.criterion == "bounded_widths"
+    assert len(calls) == 1
