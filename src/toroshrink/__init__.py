@@ -9,7 +9,6 @@ links, and decides shrinkability with machine-checkable certificates.
 """
 
 from .freegroup import (
-    FreeGroup,
     GroupRingElement,
     Word,
     commutator,
@@ -17,7 +16,7 @@ from .freegroup import (
     fox_derivative,
     parse_word,
 )
-from .magnus import MagnusSeries, coefficient, expand, format_series, lcs_depth
+from .magnus import MagnusSeries, expand, format_series, lcs_depth
 from .linkio import (
     CoverDerivation,
     LinkPresentation,
@@ -33,10 +32,8 @@ from .linkio import (
 )
 from .milnor import MilnorRecord, delta, mu, mubar, reduce_longitude
 from .drf import (
-    DiscFn,
     ExactChainFn,
     MilnorLowerFn,
-    TabulatedFn,
     compose,
     lower_milnor_drf,
     nm_drf,
@@ -68,7 +65,6 @@ from .shrink import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FreeGroup",
     "GroupRingElement",
     "Word",
     "commutator",
@@ -76,7 +72,6 @@ __all__ = [
     "fox_derivative",
     "parse_word",
     "MagnusSeries",
-    "coefficient",
     "expand",
     "format_series",
     "lcs_depth",
@@ -96,10 +91,8 @@ __all__ = [
     "mu",
     "mubar",
     "reduce_longitude",
-    "DiscFn",
     "ExactChainFn",
     "MilnorLowerFn",
-    "TabulatedFn",
     "compose",
     "lower_milnor_drf",
     "nm_drf",

@@ -2,7 +2,8 @@
 
 Subcommands: link info, milnor, drf eval, drf orbit, shrink decide,
 report.  `shrink decide` exits 0 for a shrinkable decomposition, 1 for a
-non-shrinkable one and 2 for unknown; usage and input errors exit 3.
+non-shrinkable one and 2 for unknown; usage, input and any other errors
+exit 3 with one line on stderr.
 The environment variable TOROSHRINK_HORIZON overrides the default orbit
 horizons, either as a single step bound or as "k_max,m_max,p_max".
 """
@@ -341,8 +342,8 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         code = args.fn(args)
-    except (ValueError, LookupError, OSError) as exc:
-        print(f"toroshrink: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"toroshrink: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return ERROR_EXIT
     return code
 

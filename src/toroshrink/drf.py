@@ -22,16 +22,14 @@ a claim of a nonzero invariant that computes to zero is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linkio import CoverDerivation, NMLinkSpec, bing_axis_pd, pd_fixture
 from .milnor import MilnorRecord, mubar
 
 __all__ = [
-    "DiscFn",
     "ExactChainFn",
     "MilnorLowerFn",
-    "TabulatedFn",
     "WitnessError",
     "ceil_div",
     "chain_step",
@@ -39,10 +37,7 @@ __all__ = [
     "lower_milnor_drf",
     "nm_lower_drf",
     "compose",
-    "combine_directions",
 ]
-
-DIRECTIONS = ("lower", "upper", "exact")
 
 
 class WitnessError(ValueError):
@@ -61,30 +56,15 @@ def chain_step(spec: NMLinkSpec, k: int) -> int:
     return max(-(-2 * spec.m * k // spec.n) - 1, 0)
 
 
-class DiscFn:
-    """Common interface: a monotone function N0 -> N0 with f(0) = 0 and a
-    bound direction tag (lower / upper / exact)."""
-
-    direction: str = "exact"
-
-    def evaluate(self, k: int) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def __call__(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("interlacing count must be nonnegative")
-        return self.evaluate(k)
-
-
 @dataclass(frozen=True)
-class ExactChainFn(DiscFn):
+class ExactChainFn:
     """Exact disc replicating function of the (n,m) chain link."""
 
     spec: NMLinkSpec
 
-    direction = "exact"
-
-    def evaluate(self, k: int) -> int:
+    def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("interlacing count must be nonnegative")
         return chain_step(self.spec, k)
 
     def describe(self) -> str:
@@ -93,17 +73,15 @@ class ExactChainFn(DiscFn):
 
 
 @dataclass(frozen=True)
-class MilnorLowerFn(DiscFn):
+class MilnorLowerFn:
     """Lower disc replicating function from declared derivations."""
 
     derivations: tuple[CoverDerivation, ...]
     records: tuple[MilnorRecord | None, ...] = ()
 
-    direction = "lower"
-
-    def evaluate(self, k: int) -> int:
-        if k == 0:
-            return 0
+    def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("interlacing count must be nonnegative")
         return max((self.case_value(d, k) for d in self.derivations), default=0)
 
     @staticmethod
@@ -114,35 +92,6 @@ class MilnorLowerFn(DiscFn):
             return abs(derivation.witness_value) * k
         denom = derivation.kept_n + derivation.blowdowns
         return max(ceil_div(2 * derivation.d * k, denom) - 1, 0)
-
-
-@dataclass(frozen=True)
-class TabulatedFn(DiscFn):
-    """User supplied table of values with a declared bound direction.
-
-    The table always contains 0 -> 0; evaluation outside the tabulated
-    domain is an error rather than an extrapolation.
-    """
-
-    values: tuple[tuple[int, int], ...]
-    direction: str = "lower"
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        table = dict(self.values)
-        table.setdefault(0, 0)
-        if table[0] != 0:
-            raise ValueError("a disc replicating function must send 0 to 0")
-        if any(k < 0 or v < 0 for k, v in table.items()):
-            raise ValueError("table entries must be nonnegative")
-        object.__setattr__(self, "values", tuple(sorted(table.items())))
-
-    def evaluate(self, k: int) -> int:
-        table = dict(self.values)
-        if k not in table:
-            raise KeyError(f"k={k} outside the tabulated domain")
-        return table[k]
 
 
 def nm_drf(spec: NMLinkSpec | tuple[int, int]) -> ExactChainFn:
@@ -218,7 +167,7 @@ def nm_lower_drf(spec: NMLinkSpec | tuple[int, int], verify: bool = True) -> Mil
     return lower_milnor_drf([derivation], verify=verify)
 
 
-def compose(fs: Sequence[DiscFn], k: int) -> list[int]:
+def compose(fs: Sequence[Callable[[int], int]], k: int) -> list[int]:
     """Orbit of k under the functions applied in order: [k, f1(k), f2(f1(k)), ...].
 
     Every disc replicating function sends 0 to 0, so the orbit is constant
@@ -230,20 +179,3 @@ def compose(fs: Sequence[DiscFn], k: int) -> list[int]:
         v = f(v)
         orbit.append(v)
     return orbit
-
-
-def combine_directions(directions: Sequence[str]) -> str:
-    """Bound direction of a composition: exact stays exact, mixing exact
-    with lower (upper) bounds stays a lower (upper) bound, and mixing
-    lower with upper yields no usable direction (None)."""
-    seen = set(directions)
-    bad = seen - set(DIRECTIONS)
-    if bad:
-        raise ValueError(f"unknown directions {sorted(bad)}")
-    if seen <= {"exact"}:
-        return "exact"
-    if seen <= {"exact", "lower"}:
-        return "lower"
-    if seen <= {"exact", "upper"}:
-        return "upper"
-    return "mixed"

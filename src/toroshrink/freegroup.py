@@ -114,45 +114,6 @@ class Word:
         return sum(s for g, s in self.letters if g == gen)
 
 
-class FreeGroup:
-    """Rank descriptor with convenience constructors."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        self.rank = rank
-
-    def __repr__(self) -> str:
-        return f"FreeGroup(rank={self.rank})"
-
-    def identity(self) -> Word:
-        return Word(self.rank)
-
-    def generator(self, index: int) -> Word:
-        return Word(self.rank, [(index, 1)])
-
-    def generators(self) -> list[Word]:
-        return [self.generator(i) for i in range(self.rank)]
-
-    def word(self, letters: Iterable[Letter]) -> Word:
-        return Word(self.rank, letters)
-
-
-def reduce(rank: int, letters: Iterable[Letter]) -> Word:
-    """Freely reduce a raw letter sequence into a :class:`Word`."""
-    return Word(rank, letters)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
     u._check_rank(v)

@@ -77,6 +77,25 @@ _CROSSING = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$")
 _ANNOTATION = re.compile(r"%\s*component\s+(\d+)\s*:\s*(.*)$")
 
 
+def _edge_classes(edges: Sequence[int], pairs) -> list[list[int]]:
+    """Classes of the sorted ``edges`` under the equivalence generated by
+    ``pairs``, each class sorted, ordered by smallest edge (union-find)."""
+    parent = {e: e for e in edges}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for e, f in pairs:
+        parent[find(e)] = find(f)
+    classes: dict[int, list[int]] = {}
+    for e in edges:
+        classes.setdefault(find(e), []).append(e)
+    return list(classes.values())
+
+
 class PDCode:
     """A validated planar diagram.
 
@@ -205,24 +224,8 @@ class PDCode:
         self._arcs_cache: tuple[dict[int, int], int] | None = None
 
     def _infer_components(self, edges: list[int]):
-        parent = {e: e for e in edges}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        def union(e, f):
-            parent[find(e)] = find(f)
-
-        for a, b, c, d in self.crossings:
-            union(a, c)
-            union(b, d)
-        classes: dict[int, list[int]] = {}
-        for e in edges:
-            classes.setdefault(find(e), []).append(e)
-        blocks = sorted((sorted(es) for es in classes.values()), key=lambda es: es[0])
+        pairs = [p for a, b, c, d in self.crossings for p in ((a, c), (b, d))]
+        blocks = _edge_classes(edges, pairs)
         for es in blocks:
             if es != list(range(es[0], es[0] + len(es))):
                 raise PDError(
@@ -260,15 +263,8 @@ class PDCode:
     def component_labels(self) -> tuple[int, ...]:
         return tuple(label for label, _ in self.components)
 
-    @property
-    def has_distinguished(self) -> bool:
-        return self.component_labels[0] == 0
-
     def component_of(self, edge: int) -> int:
         return self._component_of[edge]
-
-    def next_edge(self, edge: int) -> int:
-        return self._next[edge]
 
     def sign(self, crossing_index: int) -> int:
         return self._sign[crossing_index]
@@ -305,41 +301,19 @@ class PDCode:
                     out[(i, j)] = self.linking_number(i, j)
         return out
 
-    def writhe(self, label: int) -> int:
-        """Signed count of self-crossings of one component."""
-        total = 0
-        for idx in range(self.n_crossings):
-            cu, co = self.crossing_components(idx)
-            if cu == co == label:
-                total += self._sign[idx]
-        return total
-
     # -- Wirtinger arcs -----------------------------------------------------
 
     def arcs(self) -> tuple[dict[int, int], int]:
         """(edge -> arc id, number of arcs).  Arcs glue edges across over-passes."""
         if self._arcs_cache is not None:
             return self._arcs_cache
-        edges = sorted(self._component_of)
-        parent = {e: e for e in edges}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        for idx, (a, b, c, d) in enumerate(self.crossings):
-            over_in = self._over_in[idx]
-            over_out = b if over_in == d else d
-            parent[find(over_in)] = find(over_out)
-        reps = sorted(
-            {find(e) for e in edges},
-            key=lambda r: min(e for e in edges if find(e) == r),
-        )
-        rep_ids = {r: i for i, r in enumerate(reps)}
-        arc_of = {e: rep_ids[find(e)] for e in edges}
-        self._arcs_cache = (arc_of, len(reps))
+        pairs = [
+            (over_in, b if over_in == d else d)
+            for over_in, (_, b, _, d) in zip(self._over_in, self.crossings)
+        ]
+        classes = _edge_classes(sorted(self._component_of), pairs)
+        arc_of = {e: i for i, es in enumerate(classes) for e in es}
+        self._arcs_cache = (arc_of, len(classes))
         return self._arcs_cache
 
 
@@ -607,10 +581,6 @@ class LinkPresentation:
     @property
     def rank(self) -> int:
         return self.labels[-1] + 1
-
-    @property
-    def has_distinguished(self) -> bool:
-        return self.labels[0] == 0
 
     @property
     def n_components(self) -> int:

@@ -57,10 +57,6 @@ class MagnusSeries:
     def one(cls, trunc: int) -> "MagnusSeries":
         return cls(trunc, {(): 1})
 
-    @classmethod
-    def zero(cls, trunc: int) -> "MagnusSeries":
-        return cls(trunc)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MagnusSeries)
@@ -117,13 +113,6 @@ class MagnusSeries:
         degrees = [len(m) for m in self.terms if m]
         return min(degrees) if degrees else None
 
-    def is_one_modulo(self, degree: int) -> bool:
-        """True if the series equals 1 after dropping all terms of degree >= degree."""
-        if self.terms.get((), 0) != 1:
-            return False
-        low = self.min_positive_degree()
-        return low is None or low >= degree
-
 
 def _generator_series(gen: int, sign: int, q: int) -> MagnusSeries:
     if sign == 1:
@@ -176,26 +165,20 @@ def word_coefficient(w: Word, index: Iterable[int]) -> int:
     return c[-1]
 
 
-def series_multiply(a: MagnusSeries, b: MagnusSeries) -> MagnusSeries:
-    return a * b
-
-
-def coefficient(s: MagnusSeries, index: Iterable[int]) -> int:
-    return s.coefficient(index)
-
-
 def lcs_depth(w: Word, q: int) -> int:
     """Certified lower-central-series depth of a word, up to truncation.
 
     Returns the largest k <= q such that expand(w, q) is 1 modulo monomials
     of degree >= k.  The identity saturates at q; a word with a nonzero
-    exponent vector returns 1.
+    exponent vector returns 1.  A term of degree q cannot lower that value,
+    so the expansion stops at degree q - 1.
     """
     if q < 1:
         raise ValueError("truncation degree must be >= 1")
-    s = expand(w, q)
-    low = s.min_positive_degree()
-    return q if low is None else min(low, q)
+    if q == 1:
+        return 1
+    low = expand(w, q - 1).min_positive_degree()
+    return q if low is None else low
 
 
 def format_series(s: MagnusSeries) -> str:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .drf import chain_step
-from .linkio import NMLinkSpec
+from .linkio import _NM_SPEC, NMLinkSpec
 
 __all__ = [
     "IntPoly",
@@ -529,19 +529,6 @@ class GapSequence:
     def explicit(cls, values) -> "GapSequence":
         return cls(kind="explicit", values=tuple(int(v) for v in values))
 
-    @classmethod
-    def from_positions(cls, positions) -> "GapSequence":
-        """Explicit gaps from the increasing positions of the (1,1) stages."""
-        ws = [int(w) for w in positions]
-        if any(b <= a for a, b in zip(ws, ws[1:])) or (ws and ws[0] < 1):
-            raise SequenceError("positions must be strictly increasing and >= 1")
-        gaps = []
-        prev = 0
-        for w in ws:
-            gaps.append(w - prev - 1)
-            prev = w
-        return cls.explicit(gaps)
-
     def gap(self, i: int) -> int:
         if i < 1:
             raise SequenceError("gap indices start at 1")
@@ -568,7 +555,6 @@ _LINK_ALIASES = {
     "bing": (2, 1),
     "whitehead": (1, 1),
 }
-_NM_STRING = re.compile(r"nm\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
 def _parse_link_entry(entry) -> NMLinkSpec:
@@ -576,7 +562,7 @@ def _parse_link_entry(entry) -> NMLinkSpec:
         key = entry.strip().lower()
         if key in _LINK_ALIASES:
             return NMLinkSpec(*_LINK_ALIASES[key])
-        m = _NM_STRING.match(key)
+        m = _NM_SPEC.match(key)
         if m:
             return NMLinkSpec(int(m.group(1)), int(m.group(2)))
         raise SequenceError(f"unknown link entry {entry!r}")

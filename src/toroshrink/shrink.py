@@ -245,18 +245,7 @@ def convergent_tau_series(
         return _auto_convergent(seq)
     if isinstance(certificate, GeometricRatio):
         _validate_geometric(seq, certificate)
-        bound, k0, prefix = _geometric_bound(seq, certificate)
-        cert = {
-            "kind": "convergent_tau_series",
-            "method": "geometric_ratio",
-            "r": str(certificate.r),
-            "i0": certificate.i0,
-            "block": certificate.block,
-            "prefix_partial_sums": [str(p) for p in prefix],
-            "bound": str(bound),
-            "k0": k0,
-        }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
+        return _geometric_verdict(seq, certificate)
     if isinstance(certificate, UserBound):
         probe_to = _PROBE
         if seq.known_bound() is not None:
@@ -300,28 +289,33 @@ def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
         }
         return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
     if isinstance(seq, GeneratorSequence):
+        taus: list[Fraction] = []  # tau_1, tau_2, ..., read once across the probes
         for i0 in (1, 2, 4, 8):
-            probed = [seq.tau(i) for i in range(i0, _PROBE + i0)]
-            r = max(probed)
+            taus += [seq.tau(i) for i in range(len(taus) + 1, i0 + _PROBE)]
+            r = max(taus[i0 - 1:])
             if r >= 1:
                 continue
             try:
                 _validate_geometric(seq, GeometricRatio(r=r, i0=i0))
             except CertificateError:
                 continue
-            bound, k0, prefix = _geometric_bound(seq, GeometricRatio(r=r, i0=i0))
-            cert = {
-                "kind": "convergent_tau_series",
-                "method": "geometric_ratio",
-                "r": str(r),
-                "i0": i0,
-                "block": 1,
-                "prefix_partial_sums": [str(p) for p in prefix],
-                "bound": str(bound),
-                "k0": k0,
-            }
-            return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
+            return _geometric_verdict(seq, GeometricRatio(r=r, i0=i0))
     return None
+
+
+def _geometric_verdict(seq: LinkSequence, cert: GeometricRatio) -> ShrinkVerdict:
+    bound, k0, prefix = _geometric_bound(seq, cert)
+    data = {
+        "kind": "convergent_tau_series",
+        "method": "geometric_ratio",
+        "r": str(cert.r),
+        "i0": cert.i0,
+        "block": cert.block,
+        "prefix_partial_sums": [str(p) for p in prefix],
+        "bound": str(bound),
+        "k0": k0,
+    }
+    return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", data, seq)
 
 
 def _validate_geometric(seq: LinkSequence, cert: GeometricRatio) -> None:

@@ -286,3 +286,23 @@ def test_horizon_flag_overrides_environment_step_bound(monkeypatch):
     monkeypatch.setenv("TOROSHRINK_HORIZON", "4,5,6")
     args = build_parser().parse_args(["shrink", "decide", "--config", "x", "--horizon", "9"])
     assert _horizons(args) == (4, 5, 9)
+
+
+def test_unexpected_error_exits_three(tmp_path, capsys):
+    # 200,000 nested '[' overflow the JSON decoder with a RecursionError
+    path = tmp_path / "seq.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("toroshrink: error: ")
+    assert err.count("\n") == 1
+
+
+def test_interrupt_is_not_turned_into_an_exit_code(monkeypatch):
+    def interrupted(only=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("toroshrink.cli.run_checks", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["report"])

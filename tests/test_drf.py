@@ -7,10 +7,8 @@ import pytest
 from toroshrink.freegroup import Word
 from toroshrink.linkio import CoverDerivation, LinkPresentation
 from toroshrink.drf import (
-    TabulatedFn,
     WitnessError,
     ceil_div,
-    combine_directions,
     compose,
     lower_milnor_drf,
     nm_drf,
@@ -52,31 +50,14 @@ def test_exact_nm_43_at_one():
 
 
 def test_zero_absorption():
-    fns = [
-        nm_drf((3, 2)),
-        nm_lower_drf((2, 1)),
-        TabulatedFn(values=((1, 0),), direction="lower"),
-    ]
-    for f in fns:
+    for f in (nm_drf((3, 2)), nm_lower_drf((2, 1))):
         assert f(0) == 0
 
 
 def test_negative_k_rejected():
-    with pytest.raises(ValueError):
-        nm_drf((2, 1))(-1)
-
-
-def test_tabulated_lookup_and_domain():
-    f = TabulatedFn(values=((1, 0), (2, 3)), direction="upper")
-    assert f(1) == 0
-    assert f(2) == 3
-    with pytest.raises(KeyError):
-        f(5)
-
-
-def test_tabulated_rejects_nonzero_at_zero():
-    with pytest.raises(ValueError):
-        TabulatedFn(values=((0, 2),), direction="lower")
+    for f in (nm_drf((2, 1)), nm_lower_drf((2, 1))):
+        with pytest.raises(ValueError):
+            f(-1)
 
 
 def test_lower_milnor_whitehead_case():
@@ -189,12 +170,3 @@ def test_compose_pure_bing():
 
 def test_compose_empty():
     assert compose([], 7) == [7]
-
-
-def test_combine_directions():
-    assert combine_directions(["exact", "exact"]) == "exact"
-    assert combine_directions(["exact", "lower"]) == "lower"
-    assert combine_directions(["upper", "exact"]) == "upper"
-    assert combine_directions(["upper", "lower"]) == "mixed"
-    with pytest.raises(ValueError):
-        combine_directions(["sideways"])

@@ -208,4 +208,3 @@ def test_cover_derivation_validation():
 def test_bing_axis_pd_labels():
     pd = bing_axis_pd()
     assert pd.component_labels == (0, 1, 2)
-    assert pd.has_distinguished

@@ -3,9 +3,9 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toroshrink.freegroup import (
-    FreeGroup,
     Word,
     commutator,
     iterated_fox_coefficient,
@@ -15,16 +15,13 @@ from toroshrink.magnus import (
     MagnusSeries,
     TruncationMismatch,
     TruncationTooShallow,
-    coefficient,
     expand,
     format_series,
     lcs_depth,
-    series_multiply,
     word_coefficient,
 )
 
-F3 = FreeGroup(3)
-x0, x1, x2 = F3.generators()
+x0, x1, x2 = (Word(3, [(g, 1)]) for g in range(3))
 
 
 def random_word(rng, rank=3, max_len=10):
@@ -50,44 +47,60 @@ def test_expand_commutator():
 def test_series_multiply_inverse_pair():
     a = MagnusSeries(2, {(): 1, (1,): 1})
     b = MagnusSeries(2, {(): 1, (1,): -1, (1, 1): 1})
-    assert series_multiply(a, b) == MagnusSeries.one(2)
+    assert a * b == MagnusSeries.one(2)
 
 
 def test_series_multiply_identity():
     s = expand(x1 * x2.inverse(), 3)
-    assert series_multiply(MagnusSeries.one(3), s) == s
+    assert MagnusSeries.one(3) * s == s
 
 
 def test_series_multiply_binomial():
     a = MagnusSeries(2, {(): 1, (1,): 1})
     b = MagnusSeries(2, {(): 1, (2,): 1})
-    assert series_multiply(a, b) == MagnusSeries(
+    assert a * b == MagnusSeries(
         2, {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
     )
 
 
 def test_series_multiply_degree_mismatch():
     with pytest.raises(TruncationMismatch):
-        series_multiply(MagnusSeries.one(2), MagnusSeries.one(3))
+        MagnusSeries.one(2) * MagnusSeries.one(3)
 
 
 def test_coefficient_examples():
     s = expand(commutator(x1, x2), 2)
-    assert coefficient(s, (1, 2)) == 1
-    assert coefficient(expand(x1, 2), (2,)) == 0
-    assert coefficient(expand(F3.identity(), 3), (1,)) == 0
-    assert coefficient(expand(F3.identity(), 3), (1, 2, 1)) == 0
+    assert s.coefficient((1, 2)) == 1
+    assert expand(x1, 2).coefficient((2,)) == 0
+    assert expand(Word(3), 3).coefficient((1,)) == 0
+    assert expand(Word(3), 3).coefficient((1, 2, 1)) == 0
 
 
 def test_coefficient_too_deep():
     with pytest.raises(TruncationTooShallow):
-        coefficient(expand(x1, 2), (0, 1, 2))
+        expand(x1, 2).coefficient((0, 1, 2))
 
 
 def test_lcs_depth_examples():
     assert lcs_depth(x1, 4) == 1
     assert lcs_depth(commutator(x1, x2), 3) == 2
-    assert lcs_depth(F3.identity(), 3) == 3
+    assert lcs_depth(Word(3), 3) == 3
+
+
+# words of rank 3: random letters, and commutators nested up to four leaves
+words_st = st.recursive(
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=10).map(
+        lambda letters: Word(3, letters)
+    ),
+    lambda inner: st.tuples(inner, inner).map(lambda uv: commutator(*uv)),
+    max_leaves=4,
+)
+
+
+@given(words_st, st.integers(1, 6))
+def test_lcs_depth_matches_full_expansion(w, q):
+    # lcs_depth stops at degree q - 1; the oracle expands all of degree q
+    assert lcs_depth(w, q) == min(expand(w, q).min_positive_degree() or q, q)
     # iterated commutator lands one level deeper
     assert lcs_depth(commutator(commutator(x1, x2), x0), 4) == 3
 
@@ -118,7 +131,7 @@ def test_fox_magnus_agreement_random():
         length = rng.randrange(1, 4)
         index = tuple(rng.randrange(3) for _ in range(length))
         fox = iterated_fox_coefficient(w, index)
-        assert coefficient(expand(w, length), index) == fox
+        assert expand(w, length).coefficient(index) == fox
         assert word_coefficient(w, index) == fox
 
 
@@ -150,14 +163,14 @@ def test_truncation_stability_random():
     for _ in range(40):
         w = random_word(rng)
         index = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 4)))
-        values = {coefficient(expand(w, q), index) for q in range(len(index), 7)}
+        values = {expand(w, q).coefficient(index) for q in range(len(index), 7)}
         assert len(values) == 1
 
 
 def test_format_series_canonical():
     s = expand(commutator(x1, x2), 2)
     assert format_series(s) == "1 + k1*k2 - k2*k1"
-    assert format_series(MagnusSeries.zero(2)) == "0"
+    assert format_series(MagnusSeries(2)) == "0"
     assert format_series(expand(x1.inverse(), 2)) == "1 - k1 + k1*k1"
 
 

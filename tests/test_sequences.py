@@ -214,13 +214,6 @@ def test_gap_sequence_two_pow():
     assert gaps.term(4) == 1
 
 
-def test_gap_sequence_from_positions():
-    gaps = GapSequence.from_positions([2, 5, 6])
-    assert gaps.values == (1, 2, 0)
-    with pytest.raises(SequenceError):
-        GapSequence.from_positions([3, 3])
-
-
 def test_gap_sequence_rejects_negative():
     with pytest.raises(SequenceError):
         GapSequence.periodic([2, -1])
