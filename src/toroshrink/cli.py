@@ -130,7 +130,7 @@ def cmd_milnor(args) -> int:
     records = []
     if args.index:
         indices = [_parse_index(args.index)]
-    elif args.all_upto_length:
+    elif args.all_upto_length is not None:
         labels = (
             link.component_labels if isinstance(link, PDCode) else link.labels
         )
@@ -179,6 +179,8 @@ def cmd_drf_eval(args) -> int:
 def cmd_drf_orbit(args) -> int:
     with open(args.sequence, encoding="utf-8") as fh:
         seq = parse_sequence_config(fh.read())
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, not {args.steps}")
     fns = [nm_drf(seq.link(i)) for i in range(1, args.steps + 1)]
     orbit = compose(fns, args.k)
     _emit(

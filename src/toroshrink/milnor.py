@@ -239,6 +239,8 @@ def all_multi_indices(labels: tuple[int, ...], max_length: int):
     in (length, lexicographic) order."""
     from itertools import product
 
+    if max_length < 2:
+        raise MilnorError(f"length bound {max_length} is below 2")
     if max_length > MAX_INDEX_LENGTH:
         raise MilnorError(f"length bound {max_length} exceeds {MAX_INDEX_LENGTH}")
     for r in range(2, max_length + 1):

@@ -238,8 +238,14 @@ def convergent_tau_series(
 
     With no certificate supplied, a geometric one is derived automatically
     for periodic sequences (exact sum) and for generators whose tau is
-    provably bounded by some r < 1 from an index onward.  A supplied but
-    invalid certificate is rejected with the first violating index.
+    provably bounded by some r < 1 from an index onward.  For a generator,
+    the limit of n/(2m) on each branch is read first from the leading
+    coefficients (below 1 iff 2m - n has the degree of m and a positive
+    leading coefficient); if any branch fails, no ratio exists.  Otherwise
+    r is the largest tau over 64 links from i0 = 1, 2, 4, 8 in turn, and
+    the first r < 1 that `IntPoly.ge_from` proves is an upper bound from
+    i0 on, branchwise, is the certificate.  A supplied but invalid
+    certificate is rejected with the first violating index.
     """
     if certificate is None:
         return _auto_convergent(seq)
@@ -289,17 +295,30 @@ def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
         }
         return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
     if isinstance(seq, GeneratorSequence):
-        taus: list[Fraction] = []  # tau_1, tau_2, ..., read once across the probes
+        # lim tau = lim n/(2m) < 1 on a branch iff 2m - n keeps the degree
+        # of m with a positive leading coefficient; otherwise every r < 1
+        # is exceeded infinitely often and no i0 validates
+        for _, n_poly, m_poly, _ in _generator_branches(seq):
+            margin = m_poly.scaled(2) - n_poly
+            if margin.degree != m_poly.degree or margin.coeffs[-1] <= 0:
+                return None
+        ratios: list[tuple[int, int]] = []  # (n_i, 2 m_i), each link read once
         for i0 in (1, 2, 4, 8):
-            taus += [seq.tau(i) for i in range(len(taus) + 1, i0 + _PROBE)]
-            r = max(taus[i0 - 1:])
-            if r >= 1:
+            for i in range(len(ratios) + 1, i0 + _PROBE):
+                spec = seq.link(i)
+                ratios.append((spec.n, 2 * spec.m))
+            bn, bd = ratios[i0 - 1]
+            for n, d in ratios[i0:]:
+                if n * bd > bn * d:
+                    bn, bd = n, d
+            if bn >= bd:
                 continue
+            cert = GeometricRatio(r=Fraction(bn, bd), i0=i0)
             try:
-                _validate_geometric(seq, GeometricRatio(r=r, i0=i0))
+                _validate_geometric(seq, cert)
             except CertificateError:
                 continue
-            return _geometric_verdict(seq, GeometricRatio(r=r, i0=i0))
+            return _geometric_verdict(seq, cert)
     return None
 
 

@@ -365,22 +365,20 @@ def test_criterion_6_periodic_equivalence():
     start = time.perf_counter()
     specs = [(n, m) for n in range(1, 9) for m in range(1, 9)]
 
-    # periods 1 and 2: every ordered sequence
-    for period in (1, 2):
-        rows = np.array(
-            list(itertools.product(specs, repeat=period)), dtype=np.int64
-        )
-        assert _orbit_witness_agrees(rows)
+    # periods 1 to 3: every ordered sequence (64^3 rows for period 3)
+    spec_arr = np.array(specs, dtype=np.int64)
+    for period in (1, 2, 3):
+        choice = np.indices((len(specs),) * period).reshape(period, -1).T
+        assert _orbit_witness_agrees(spec_arr[choice])
 
-    # periods 3 and 4: every multiset (both decisions are order independent:
-    # the tau product obviously, the orbit facts because the slope and the
-    # offset bound only involve the multiset of stages)
-    for period in (3, 4):
-        rows = np.array(
-            list(itertools.combinations_with_replacement(specs, period)),
-            dtype=np.int64,
-        )
-        assert _orbit_witness_agrees(rows)
+    # period 4: every multiset, in one order each.  Only the tau product is
+    # order independent; the offset sum T behind the witness k0 (like k0 in
+    # shrink._decide_periodic_orbits) and the descent g(k) < k both depend
+    # on the order of the stages, so this is a sample of the orderings.
+    rows = np.array(
+        list(itertools.combinations_with_replacement(specs, 4)), dtype=np.int64
+    )
+    assert _orbit_witness_agrees(rows)
 
     # a random ordered sample through the actual library decision
     rng = random.Random(106)
@@ -391,7 +389,10 @@ def test_criterion_6_periodic_equivalence():
         assert orbit_decide(seq).outcome == periodic_product(seq).outcome
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    _report("6", f"(exhaustive corpus through period 4, {elapsed:.1f} s)")
+    _report(
+        "6",
+        f"(every ordered period <= 3, every multiset of period 4, {elapsed:.1f} s)",
+    )
 
 
 def test_criterion_6b_descent_bound_brute_force():

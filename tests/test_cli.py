@@ -143,6 +143,23 @@ def test_drf_orbit(tmp_path, capsys):
     assert out.strip() == "5 -> 4 -> 3 -> 2 -> 1 -> 0 -> 0 -> 0"
 
 
+def test_drf_orbit_negative_steps_exits_three(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "periodic", "links": [{"nm": [2, 1]}]}),
+        encoding="utf-8",
+    )
+    argv = ("drf", "orbit", "--sequence", str(path), "--k", "5", "--steps")
+    code, out, err = run(capsys, *argv, "-2")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--steps must be >= 0" in err
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0
+    assert out.strip() == "5"
+
+
 def test_drf_orbit_past_explicit_data_exits_three(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(
@@ -253,6 +270,17 @@ def test_milnor_without_index_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "--index or --all-upto-length" in err
+
+
+@pytest.mark.parametrize("length", ["1", "0", "-3"])
+def test_milnor_all_upto_length_below_two_exits_three(capsys, length):
+    code, out, err = run(
+        capsys, "milnor", "--builtin", "borromean", "--all-upto-length", length
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"length bound {length} is below 2" in err
 
 
 def test_no_link_given_exits_three(capsys):

@@ -203,6 +203,9 @@ def test_all_multi_indices_enumeration():
     assert (1, 2) in idx and (2, 1, 1) in idx
     assert len(idx) == 4 + 8
     assert all(2 <= len(i) <= 3 for i in idx)
+    for bound in (1, 0, -3):
+        with pytest.raises(MilnorError, match="below 2"):
+            list(all_multi_indices((1, 2), bound))
 
 
 def test_monomial_budget_guard():

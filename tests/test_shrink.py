@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import toroshrink
 from toroshrink.sequences import (
@@ -38,7 +38,9 @@ from toroshrink.shrink import (
     periodic_product,
     sher_armentrout,
     verify_certificate,
+    _auto_convergent,
     _orbit_evidence,
+    _validate_geometric,
 )
 
 PURE_BING = PeriodicSequence(((2, 1),))
@@ -160,6 +162,149 @@ def test_convergent_series_generator_with_decaying_tau():
 def test_convergent_series_silent_on_example_55():
     # tau_i = i/(i+1) increases toward 1: no geometric ratio exists
     assert convergent_tau_series(EXAMPLE_55) is None
+
+
+# -- the automatic geometric ratio for generators, against its oracle ----
+
+
+def _fraction_window_probe(seq):
+    """The search without the limit guard, in Fractions: r is the largest
+    tau over 64 links from i0 = 1, 2, 4, 8, and the first r < 1 that
+    validates is the certificate."""
+    taus = []
+    for i0 in (1, 2, 4, 8):
+        taus += [seq.tau(i) for i in range(len(taus) + 1, i0 + 64)]
+        r = max(taus[i0 - 1:])
+        if r >= 1:
+            continue
+        try:
+            _validate_geometric(seq, GeometricRatio(r=r, i0=i0))
+        except CertificateError:
+            continue
+        return GeometricRatio(r=r, i0=i0)
+    return None
+
+
+class _CountingGenerator(GeneratorSequence):
+    """A generator that records every index its links are read at."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "reads", [])
+
+    def link(self, i):
+        self.reads.append(i)
+        return super().link(i)
+
+
+# limits of tau = n/(2m) on one branch; the first two are below 1
+_TAU_REGIMES = ("to_zero", "to_c_below_one", "to_one_below", "to_one_above",
+                "to_c_above_one", "to_infinity")
+_LIMIT_BELOW_ONE = ("to_zero", "to_c_below_one")
+_DRAW_REGIME = st.sampled_from(_TAU_REGIMES + _LIMIT_BELOW_ONE)  # half below 1
+
+
+@st.composite
+def _branch(draw, regime, start):
+    """(n, m) polynomials, both >= 1 for s >= start, whose tau has the
+    named limit.  The lower coefficients of n may be large or negative, so
+    tau need not be monotone and the window maximum can sit anywhere."""
+    lowest_m = 1 if regime in ("to_zero", "to_one_below") else 0
+    dm = draw(st.integers(lowest_m, 2))
+    m = IntPoly(
+        (draw(st.integers(1, 4)),)
+        + tuple(draw(st.integers(0, 4)) for _ in range(dm - 1))
+        + ((draw(st.integers(1, 3)),) if dm else ())
+    )
+    lead = m.coeffs[-1]
+    if regime in ("to_one_below", "to_one_above"):
+        # n = 2m -+ q with deg q < deg m and q > 0 eventually (or q = 0)
+        dq = draw(st.integers(-1 if regime == "to_one_above" else 0, dm - 1))
+        q = IntPoly(
+            tuple(draw(st.integers(-3, 3)) for _ in range(dq))
+            + ((draw(st.integers(1, 3)),) if dq >= 0 else ())
+        )
+        n = m.scaled(2) + (q if regime == "to_one_above" else -q)
+        assume(n.ge_from(1, start)[0])
+        return n, m
+    if regime == "to_zero":
+        dn, a = draw(st.integers(0, dm - 1)), draw(st.integers(1, 6))
+    elif regime == "to_c_below_one":
+        dn, a = dm, draw(st.integers(1, 2 * lead - 1))
+    elif regime == "to_c_above_one":
+        dn, a = dm, draw(st.integers(2 * lead + 1, 2 * lead + 6))
+    else:
+        dn, a = dm + draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n = IntPoly(tuple(draw(st.integers(-6, 40)) for _ in range(dn)) + (a,))
+    while not n.ge_from(1, start)[0]:  # raise the constant term; a stays
+        n = n + IntPoly.const(1)
+    return n, m
+
+
+@st.composite
+def _regime_generators(draw):
+    """A one-case or two-case generator, and whether every branch has
+    lim tau < 1."""
+    if draw(st.booleans()):
+        regime = draw(_DRAW_REGIME)
+        n, m = draw(_branch(regime, 1))
+        fields = dict(n_poly=n, m_poly=m)
+        below = regime in _LIMIT_BELOW_ONE
+    else:
+        even, odd = draw(_DRAW_REGIME), draw(_DRAW_REGIME)
+        (en, em), (on, om) = draw(_branch(even, 1)), draw(_branch(odd, 0))
+        fields = dict(even_n=en, even_m=em, odd_n=on, odd_m=om)
+        below = even in _LIMIT_BELOW_ONE and odd in _LIMIT_BELOW_ONE
+    return fields, below
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regime_generators())
+def test_auto_convergent_matches_fraction_window_probe(case):
+    fields, limit_below_one = case
+    plain, counted = GeneratorSequence(**fields), _CountingGenerator(**fields)
+    expected = _fraction_window_probe(plain)
+    got = _auto_convergent(counted)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.certificate == convergent_tau_series(plain, expected).certificate
+    # the limit guard is exact: it reads no link precisely when some branch
+    # has lim tau >= 1, where no geometric ratio can exist
+    assert (counted.reads == []) == (not limit_below_one)
+    if not limit_below_one:
+        assert expected is None
+
+
+@pytest.mark.parametrize("n", ["2*i - 1", "2*i + 1"])
+def test_auto_convergent_reads_no_link_when_tau_tends_to_one(n):
+    # 2m - n is the constant -+1: its leading coefficient alone says nothing
+    seq = _CountingGenerator(n_poly=parse_poly(n), m_poly=parse_poly("i"))
+    assert convergent_tau_series(seq) is None
+    assert seq.reads == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(_regime_generators())
+def test_auto_convergent_guard_matches_sympy_limit(case):
+    import sympy
+
+    fields, _ = case
+    s = sympy.Symbol("s")
+
+    def expr(poly):
+        return sum(c * s**e for e, c in enumerate(poly.coeffs))
+
+    branches = [("n_poly", "m_poly")] if "n_poly" in fields else [
+        ("even_n", "even_m"), ("odd_n", "odd_m")
+    ]
+    limits = [
+        sympy.limit(expr(fields[n]) / (2 * expr(fields[m])), s, sympy.oo)
+        for n, m in branches
+    ]
+    counted = _CountingGenerator(**fields)
+    _auto_convergent(counted)
+    assert (counted.reads == []) == any(limit >= 1 for limit in limits)
 
 
 # -- divergent weighted series -------------------------------------------
