@@ -128,7 +128,7 @@ def _parse_index(text: str) -> tuple[int, ...]:
 def cmd_milnor(args) -> int:
     link = _load_link(args)
     records = []
-    if args.index:
+    if args.index is not None:
         indices = [_parse_index(args.index)]
     elif args.all_upto_length is not None:
         labels = (

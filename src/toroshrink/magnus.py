@@ -114,18 +114,45 @@ class MagnusSeries:
         return min(degrees) if degrees else None
 
 
-def _generator_series(gen: int, sign: int, q: int) -> MagnusSeries:
-    if sign == 1:
-        return MagnusSeries(q, {(): 1, (gen,): 1})
-    return MagnusSeries(q, {(gen,) * p: (-1) ** p for p in range(q + 1)})
-
-
 def expand(w: Word, q: int) -> MagnusSeries:
-    """Magnus expansion of a word, truncated at total degree q."""
-    out = MagnusSeries.one(q)
-    for gen, sign in w.letters:
-        out = out * _generator_series(gen, sign, q)
-    return out
+    """Magnus expansion of a word, truncated at total degree q.
+
+    Each maximal run x_g^e of the word multiplies the series by
+    (1 + k_g)^e = sum_p C(e, p) k_g^p (the generalized binomial, so
+    e < 0 gives the signed coefficients of the inverse's powers).  The
+    series is kept as one dict per degree and multiplied in place from
+    the top degree down: a term of degree d only feeds degrees > d,
+    which have already been read.
+    """
+    layers: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(q)]
+    letters = w.letters
+    i = 0
+    while i < len(letters):
+        gen = letters[i][0]
+        e = 0
+        while i < len(letters) and letters[i][0] == gen:
+            e += letters[i][1]
+            i += 1
+        # binom[p - 1] = C(e, p) for p = 1..q, cut where it vanishes (e > 0)
+        binom = [e]
+        for p in range(2, q + 1):
+            b = binom[-1] * (e - p + 1) // p
+            if not b:
+                break
+            binom.append(b)
+        for d in range(q - 1, -1, -1):
+            # (coefficient, target layer) for each power of k_g that fits
+            steps = list(zip(binom, layers[d + 1 :]))
+            for mon, c in layers[d].items():
+                tail = mon
+                for b, layer in steps:
+                    tail += (gen,)
+                    v = layer.get(tail, 0) + b * c
+                    if v:
+                        layer[tail] = v
+                    else:
+                        del layer[tail]
+    return MagnusSeries(q, {mon: c for layer in layers for mon, c in layer.items()})
 
 
 def word_coefficient(w: Word, index: Iterable[int]) -> int:

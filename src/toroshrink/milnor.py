@@ -10,8 +10,8 @@ below, for ``--dump-series`` and as the oracle in the tests.  For diagram
 input, w is produced by iterated substitution in
 the Wirtinger presentation: every arc starts as the meridian of its
 component and is refined through the crossing relators for r-1 rounds
-(deeper rounds change the word only inside F_r, which the optional
-stability check certifies through the expansion of the defect word).
+(deeper rounds change the word only inside F_r, which a stability check
+certifies through the expansion of the defect word).
 
 The indeterminacy Delta_I is the GCD of all mu_J where J runs over the
 multi-indices obtained from I by deleting at least one entry and cyclically
@@ -128,13 +128,11 @@ def _substitution_round(
     return new_eta
 
 
-def reduce_longitude(
-    wp: WirtingerPresentation, component: int, q: int, verify: bool = True
-) -> Word:
+def reduce_longitude(wp: WirtingerPresentation, component: int, q: int) -> Word:
     """Longitude of one component as a word in the meridians, valid mod F_q.
 
-    Runs q-1 substitution rounds.  With verify=True an extra round is run
-    and the defect word is checked to lie in F_q via its Magnus expansion;
+    Runs q-1 substitution rounds, then one more, and checks that the
+    defect word between the two lies in F_q via its Magnus expansion;
     failure raises :class:`PresentationInconsistent`.
     """
     if q < 2:
@@ -144,14 +142,12 @@ def reduce_longitude(
     rank = wp.meridian_rank()
     eta = _arc_words_at_class(wp, q, rank)
     word = _longitude_from_arcs(wp, component, eta, rank)
-    if verify:
-        eta_next = _substitution_round(wp, eta, rank)
-        word_next = _longitude_from_arcs(wp, component, eta_next, rank)
-        defect = word.inverse() * word_next
-        if not defect.is_identity() and lcs_depth(defect, q) < q:
-            raise PresentationInconsistent(
-                f"longitude of component {component} is not stable modulo F_{q}"
-            )
+    eta_next = _substitution_round(wp, eta, rank)
+    defect = word.inverse() * _longitude_from_arcs(wp, component, eta_next, rank)
+    if not defect.is_identity() and lcs_depth(defect, q) < q:
+        raise PresentationInconsistent(
+            f"longitude of component {component} is not stable modulo F_{q}"
+        )
     return word
 
 
@@ -167,14 +163,14 @@ def _longitude_from_arcs(
 
 
 @lru_cache(maxsize=512)
-def _diagram_longitude(pd: PDCode, component: int, q: int, verify: bool) -> Word:
-    return reduce_longitude(wirtinger(pd), component, q, verify=verify)
+def _diagram_longitude(pd: PDCode, component: int, q: int) -> Word:
+    return reduce_longitude(wirtinger(pd), component, q)
 
 
-def longitude_word(link: LinkData, component: int, q: int, verify: bool = True) -> Word:
+def longitude_word(link: LinkData, component: int, q: int) -> Word:
     """Meridian word for a longitude, from either carrier of link data."""
     if isinstance(link, PDCode):
-        return _diagram_longitude(link, component, q, verify)
+        return _diagram_longitude(link, component, q)
     if isinstance(link, LinkPresentation):
         if component not in link.labels:
             raise MilnorError(f"no component {component}")
@@ -191,12 +187,12 @@ def _labels(link: LinkData) -> tuple[int, ...]:
     return link.component_labels if isinstance(link, PDCode) else link.labels
 
 
-def mu(link: LinkData, index: tuple[int, ...], verify: bool = True) -> int:
+def mu(link: LinkData, index: tuple[int, ...]) -> int:
     """The Magnus coefficient mu_I of the link."""
     index = tuple(index)
     _check_index(_labels(link), index)
     q = len(index)
-    word = longitude_word(link, index[-1], q, verify=verify)
+    word = longitude_word(link, index[-1], q)
     return word_coefficient(word, index[:-1])
 
 
@@ -215,21 +211,21 @@ def sub_multi_indices(index: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def delta(link: LinkData, index: tuple[int, ...], verify: bool = True) -> int:
+def delta(link: LinkData, index: tuple[int, ...]) -> int:
     """GCD indeterminacy Delta_I; 0 means integer valued."""
     index = tuple(index)
     _check_index(_labels(link), index)
     g = 0
     for sub in sub_multi_indices(index):
-        g = gcd(g, abs(mu(link, sub, verify=verify)))
+        g = gcd(g, abs(mu(link, sub)))
     return g
 
 
-def mubar(link: LinkData, index: tuple[int, ...], verify: bool = True) -> MilnorRecord:
+def mubar(link: LinkData, index: tuple[int, ...]) -> MilnorRecord:
     """The full invariant record (mu, Delta, residue) for one multi-index."""
     index = tuple(index)
-    m = mu(link, index, verify=verify)
-    d = delta(link, index, verify=verify)
+    m = mu(link, index)
+    d = delta(link, index)
     residue = m % d if d else m
     return MilnorRecord(index=index, mu=m, delta=d, mubar=residue)
 

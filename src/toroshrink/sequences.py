@@ -31,6 +31,7 @@ __all__ = [
     "parse_poly",
     "LinkSequence",
     "Period",
+    "Branch",
     "PeriodicSequence",
     "EventuallyPeriodicSequence",
     "GeneratorSequence",
@@ -398,12 +399,45 @@ class EventuallyPeriodicSequence(LinkSequence):
 
 
 @dataclass(frozen=True)
+class Branch:
+    """One closed-form case of a generator: link index(s) = step*s + offset
+    is (n(s), m(s)) for every s >= first.
+
+    The branches of a generator are "all" (i = s, s >= 1), or "even"
+    (i = 2s, s >= 1) and "odd" (i = 2s+1, s >= 0).  Every symbolic check
+    on a generator is a polynomial in s, read back as a link index here.
+    """
+
+    name: str
+    n: IntPoly
+    m: IntPoly
+    first: int
+    step: int
+    offset: int
+
+    def index(self, s: int) -> int:
+        return self.step * s + self.offset
+
+    def param(self, i: int) -> int:
+        """The s of link index i, for an i on this branch."""
+        return (i - self.offset) // self.step
+
+    def violation(self, margin: IntPoly, i0: int = 1) -> int | None:
+        """The first link index i >= i0 on this branch where margin(s) < 0,
+        or None when margin(s) >= 0 at all of them."""
+        start = max(self.first, -((self.offset - i0) // self.step))
+        ok, witness = margin.ge_from(0, start)
+        return None if ok else self.index(witness)
+
+
+@dataclass(frozen=True)
 class GeneratorSequence(LinkSequence):
     """Closed-form sequence: either n(i), m(i) for all i >= 1, or separate
     forms for even index i = 2s (s >= 1) and odd index i = 2s+1 (s >= 0).
 
-    Positivity n(i) >= 1 and m(i) >= 1 over the whole domain is checked
-    exactly at construction time.
+    `branches` holds these cases as `Branch`es, the one table that maps a
+    case's parameter s to a link index.  Positivity n >= 1 and m >= 1 on
+    every branch is checked exactly at construction time.
     """
 
     n_poly: IntPoly | None = None
@@ -414,40 +448,37 @@ class GeneratorSequence(LinkSequence):
     odd_m: IntPoly | None = None
 
     def __post_init__(self):
-        if self.n_poly is not None:
-            checks = [(self.n_poly, 1, "n"), (self.m_poly, 1, "m")]
-        else:
-            if None in (self.even_n, self.even_m, self.odd_n, self.odd_m):
-                raise SequenceError("two-case generator needs all four terms")
-            checks = [
-                (self.even_n, 1, "even n"),
-                (self.even_m, 1, "even m"),
-                (self.odd_n, 0, "odd n"),
-                (self.odd_m, 0, "odd m"),
-            ]
-        for poly, start, name in checks:
-            if poly is None:
-                raise SequenceError("generator needs both n and m terms")
-            ok, witness = poly.ge_from(1, start)
-            if not ok:
-                raise SequenceError(
-                    f"{name} term is not >= 1 at index {witness}"
-                )
+        if self.n_poly is None and None in (self.even_n, self.even_m, self.odd_n, self.odd_m):
+            raise SequenceError("two-case generator needs all four terms")
+        if self.n_poly is not None and self.m_poly is None:
+            raise SequenceError("generator needs both n and m terms")
+        for b in self.branches:
+            case = "" if b.name == "all" else f"{b.name} "
+            for term, poly in (("n", b.n), ("m", b.m)):
+                index = b.violation(poly - IntPoly.const(1))
+                if index is not None:
+                    raise SequenceError(f"{case}{term} term is not >= 1 at index {index}")
 
     @property
     def two_case(self) -> bool:
         return self.n_poly is None
 
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """("all",) or ("even", "odd"): the branch of link i is branches[i % len]."""
+        if not self.two_case:
+            return (Branch("all", self.n_poly, self.m_poly, 1, 1, 0),)
+        return (
+            Branch("even", self.even_n, self.even_m, 1, 2, 0),
+            Branch("odd", self.odd_n, self.odd_m, 0, 2, 1),
+        )
+
     def link(self, i: int) -> NMLinkSpec:
         if i < 1:
             raise SequenceError("sequence indices start at 1")
-        if not self.two_case:
-            return NMLinkSpec(self.n_poly(i), self.m_poly(i))
-        if i % 2 == 0:
-            s = i // 2
-            return NMLinkSpec(self.even_n(s), self.even_m(s))
-        s = (i - 1) // 2
-        return NMLinkSpec(self.odd_n(s), self.odd_m(s))
+        b = self.branches[i % len(self.branches)]
+        s = b.param(i)
+        return NMLinkSpec(b.n(s), b.m(s))
 
 
 @dataclass(frozen=True)
@@ -651,15 +682,8 @@ def sequence_to_config(seq: LinkSequence) -> dict:
             "links": [{"nm": [l.n, l.m]} for l in seq.links],
         }
     if isinstance(seq, GeneratorSequence):
-        if seq.two_case:
-            return {
-                "variant": "generator",
-                "even": {"n": seq.even_n.text("s"), "m": seq.even_m.text("s")},
-                "odd": {"n": seq.odd_n.text("s"), "m": seq.odd_m.text("s")},
-            }
-        return {
-            "variant": "generator",
-            "n": seq.n_poly.text("i"),
-            "m": seq.m_poly.text("i"),
-        }
+        var = "s" if seq.two_case else "i"
+        cases = {b.name: {"n": b.n.text(var), "m": b.m.text(var)} for b in seq.branches}
+        # a one-case generator writes its terms at the top level
+        return {"variant": "generator", **cases.get("all", cases)}
     raise SequenceError(f"cannot serialize {seq!r}")

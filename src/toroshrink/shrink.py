@@ -32,6 +32,7 @@ from typing import Optional
 
 from .drf import chain_step
 from .sequences import (
+    Branch,
     ExplicitSequence,
     GapSequence,
     GeneratorSequence,
@@ -41,6 +42,7 @@ from .sequences import (
     Period,
     PeriodicSequence,
     partial_products,
+    tau,
 )
 
 __all__ = [
@@ -191,16 +193,12 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
         return None
     if isinstance(seq, GeneratorSequence):
-        branches = _generator_branches(seq)
         witness_data = []
-        for name, n_poly, m_poly, start in branches:
-            margin = m_poly.scaled(2) - n_poly - IntPoly.const(1)
-            ok, witness = margin.ge_from(0, start)
-            if not ok:
+        for b in seq.branches:
+            margin = _expansion_margin(b)
+            if b.violation(margin) is not None:
                 return None
-            witness_data.append(
-                {"branch": name, "margin": margin.text("s"), "from": start}
-            )
+            witness_data.append({"branch": b.name, "margin": margin.text("s"), "from": b.first})
         cert = {
             "kind": "sher_armentrout",
             "scope": "symbolic",
@@ -211,13 +209,9 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     return None
 
 
-def _generator_branches(seq: GeneratorSequence):
-    if seq.two_case:
-        return [
-            ("even", seq.even_n, seq.even_m, 1),
-            ("odd", seq.odd_n, seq.odd_m, 0),
-        ]
-    return [("all", seq.n_poly, seq.m_poly, 1)]
+def _expansion_margin(b: Branch) -> IntPoly:
+    """2m - n - 1, nonnegative exactly where the branch's stage expands."""
+    return b.m.scaled(2) - b.n - IntPoly.const(1)
 
 
 # -- convergence of sum prod tau ---------------------------------------------------
@@ -298,9 +292,9 @@ def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
         # lim tau = lim n/(2m) < 1 on a branch iff 2m - n keeps the degree
         # of m with a positive leading coefficient; otherwise every r < 1
         # is exceeded infinitely often and no i0 validates
-        for _, n_poly, m_poly, _ in _generator_branches(seq):
-            margin = m_poly.scaled(2) - n_poly
-            if margin.degree != m_poly.degree or margin.coeffs[-1] <= 0:
+        for b in seq.branches:
+            margin = b.m.scaled(2) - b.n
+            if margin.degree != b.m.degree or margin.coeffs[-1] <= 0:
                 return None
         ratios: list[tuple[int, int]] = []  # (n_i, 2 m_i), each link read once
         for i0 in (1, 2, 4, 8):
@@ -365,32 +359,13 @@ def _validate_geometric(seq: LinkSequence, cert: GeometricRatio) -> None:
         if cert.block != 1:
             raise CertificateError("blockwise ratios only apply to periodic sequences")
         # tau_i <= r  <=>  den(r) * n_i <= 2 num(r) * m_i, branchwise
-        for name, n_poly, m_poly, start in _generator_branches(seq):
-            margin = m_poly.scaled(2 * cert.r.numerator) - n_poly.scaled(
-                cert.r.denominator
-            )
-            branch_start = _branch_start_for_index(name, cert.i0, start)
-            ok, witness = margin.ge_from(0, branch_start)
-            if not ok:
-                index = _index_for_branch(name, witness)
-                if index >= cert.i0:
-                    raise CertificateError(f"tau at index {index} exceeds r")
+        for b in seq.branches:
+            margin = b.m.scaled(2 * cert.r.numerator) - b.n.scaled(cert.r.denominator)
+            index = b.violation(margin, cert.i0)
+            if index is not None:
+                raise CertificateError(f"tau at index {index} exceeds r")
         return
     raise CertificateError("cannot validate a geometric ratio on this variant")
-
-
-def _branch_start_for_index(name: str, i0: int, domain_start: int) -> int:
-    if name == "all":
-        return max(i0, 1)
-    if name == "even":
-        return max(domain_start, (i0 + 1) // 2)
-    return max(domain_start, (i0 - 1 + 1) // 2)  # odd: i = 2s+1 >= i0
-
-
-def _index_for_branch(name: str, s: int) -> int:
-    if name == "all":
-        return s
-    return 2 * s if name == "even" else 2 * s + 1
 
 
 def _geometric_bound(seq: LinkSequence, cert: GeometricRatio):
@@ -419,6 +394,9 @@ def divergent_weighted_tau_series(
         certificate = _auto_divergent_cert(seq)
         if certificate is None:
             return None
+    elif isinstance(certificate, HarmonicComparison):
+        # an automatic floor needs no probe: _auto_divergent_cert proved it
+        _validate_harmonic(seq, certificate)
     if isinstance(certificate, PeriodicProduct):
         period = seq.one_period
         if period is None:
@@ -436,7 +414,6 @@ def divergent_weighted_tau_series(
         }
         return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
     if isinstance(certificate, HarmonicComparison):
-        _validate_harmonic(seq, certificate)
         cert = {
             "kind": "divergent_weighted_tau_series",
             "method": "harmonic_comparison",
@@ -451,33 +428,37 @@ def _auto_divergent_cert(seq: LinkSequence):
     period = seq.one_period
     if period is not None:
         return PeriodicProduct() if period.product >= 1 else None
-    if isinstance(seq, GeneratorSequence):
-        branches = _generator_branches(seq)
-        # need bounded widths and tau >= 1 throughout
-        if any(not n_poly.is_constant() for _, n_poly, _, _ in branches):
-            return None
-        for _, n_poly, m_poly, start in branches:
-            margin = n_poly - m_poly.scaled(2)
-            ok, _ = margin.ge_from(0, start)
-            if not ok:
-                return None
-        n_max = max(n_poly(1) for _, n_poly, _, _ in branches)
-        return HarmonicComparison(c=Fraction(1, n_max), i0=1)
+    if isinstance(seq, GeneratorSequence) and _harmonic_floor_fault(seq) is None:
+        # every partial product is >= 1, so term_j >= 1/n_max >= (1/n_max)/j
+        return HarmonicComparison(c=Fraction(1, _sup_widths(seq)), i0=1)
+    return None
+
+
+def _harmonic_floor_fault(seq: GeneratorSequence) -> Optional[str]:
+    """Why the widths are not bounded or tau_i >= 1 fails somewhere, or None."""
+    for b in seq.branches:
+        if not b.n.is_constant():
+            return "harmonic floors need bounded widths n_i"
+        index = b.violation(b.n - b.m.scaled(2))
+        if index is not None:
+            return f"tau falls below 1 at index {index}; cannot maintain the harmonic floor"
     return None
 
 
 def _validate_harmonic(seq: LinkSequence, cert: HarmonicComparison) -> None:
     if cert.c <= 0:
         raise CertificateError("harmonic comparison needs c > 0")
-    probe_to = max(_PROBE, cert.i0 + _PROBE)
+    if cert.i0 < 1:
+        raise CertificateError("harmonic comparison needs i0 >= 1")
+    probe_to = cert.i0 + _PROBE
     try:
-        taus = _taus(seq, probe_to)
+        specs = [seq.link(j) for j in range(1, probe_to + 1)]
     except HorizonError:
         raise CertificateError("cannot validate on an explicit tail-unknown sequence")
-    partials = partial_products(taus)
+    partials = partial_products(tau(spec) for spec in specs)
     for j in range(cert.i0, probe_to + 1):
-        term = partials[j - 1] / seq.link(j).n
-        if term < Fraction(cert.c, j):
+        # partial_j / n_j >= c / j, cross-multiplied
+        if partials[j - 1] * j < cert.c * specs[j - 1].n:
             raise CertificateError(f"weighted term at index {j} falls below c/j")
     # beyond the probe window the claim must hold structurally
     period = seq.one_period
@@ -489,16 +470,9 @@ def _validate_harmonic(seq: LinkSequence, cert: HarmonicComparison) -> None:
             )
         return
     if isinstance(seq, GeneratorSequence):
-        for name, n_poly, m_poly, start in _generator_branches(seq):
-            if not n_poly.is_constant():
-                raise CertificateError("harmonic floors need bounded widths n_i")
-            margin = n_poly - m_poly.scaled(2)
-            ok, witness = margin.ge_from(0, start)
-            if not ok:
-                raise CertificateError(
-                    f"tau falls below 1 at index {_index_for_branch(name, witness)}; "
-                    f"cannot maintain the harmonic floor"
-                )
+        fault = _harmonic_floor_fault(seq)
+        if fault is not None:
+            raise CertificateError(fault)
         return
     raise CertificateError("cannot validate a harmonic floor on this variant")
 
@@ -541,10 +515,8 @@ def _sup_widths(seq: LinkSequence) -> Optional[int]:
     period = seq.one_period
     if period is not None:
         return max(spec.n for spec in period.prefix + period.links)
-    if isinstance(seq, GeneratorSequence):
-        branches = _generator_branches(seq)
-        if all(n_poly.is_constant() for _, n_poly, _, _ in branches):
-            return max(n_poly(1) for _, n_poly, _, _ in branches)
+    if isinstance(seq, GeneratorSequence) and all(b.n.is_constant() for b in seq.branches):
+        return max(b.n(1) for b in seq.branches)
     return None
 
 
@@ -865,24 +837,20 @@ def _trace_orbit(links, k: int) -> list[int]:
 
 def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
     """Check both pair alignments for a two-step composite of k -> k - 1."""
-    for first, second, shift, label in (
-        ("odd", "even", 1, "odd_then_even"),
-        ("even", "odd", 0, "even_then_odd"),
-    ):
-        data = _telescoping_data(seq, first, second, shift)
-        if data is None:
+    for label, (first, second) in _alignments(seq).items():
+        c_poly = _pair_slope(first, second)
+        if c_poly is None:
             continue
-        c_poly, identity_text = data
-        checked = _verify_telescoping_numerically(seq, first, 50, 1000)
-        if not checked:
+        if not _telescopes_numerically(seq, first, 50, 1000):
             raise VerdictConsistencyError(
                 "telescoping identity verified symbolically but fails numerically"
             )
+        c = c_poly.text("s")
         cert = {
             "kind": "telescoping_pairs",
             "alignment": label,
-            "pair_slope": c_poly.text("s"),
-            "identity": identity_text,
+            "pair_slope": c,
+            "identity": f"2*m_first = ({c}) * n_first and n_second = 2*m_second * ({c})",
             "numeric_check": "two-step composite is k-1 (k-2 when the pair "
             "slope is 1) for s <= 50, k <= 1000",
             "conclusion": "orbits decrease by at least one per aligned pair, "
@@ -892,37 +860,31 @@ def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
     return None
 
 
-def _telescoping_data(seq: GeneratorSequence, first: str, second: str, shift: int):
-    if first == "odd":
-        n1, m1 = seq.odd_n, seq.odd_m
-        n2, m2 = seq.even_n.shifted_arg(shift), seq.even_m.shifted_arg(shift)
-        start = 0
-    else:
-        n1, m1 = seq.even_n, seq.even_m
-        n2, m2 = seq.odd_n.shifted_arg(shift), seq.odd_m.shifted_arg(shift)
-        start = 1
-    c = m1.scaled(2).divide_exact(n1)
-    if c is None:
-        return None
-    ok, _ = c.ge_from(1, start)
-    if not ok:
-        return None
-    if n2 != m2.scaled(2) * c:
-        return None
-    identity = (
-        f"2*m_first = ({c.text('s')}) * n_first and "
-        f"n_second = 2*m_second * ({c.text('s')})"
-    )
-    return c, identity
+def _alignments(seq: GeneratorSequence) -> dict[str, tuple[Branch, Branch]]:
+    """The two ways to pair the links of a two-case generator, odd-first
+    first: label -> (branch of the pair's first link, of its second)."""
+    even, odd = seq.branches
+    return {f"{a.name}_then_{b.name}": (a, b) for a, b in ((odd, even), (even, odd))}
 
 
-def _verify_telescoping_numerically(seq, first, s_max, k_max) -> bool:
+def _pair_slope(first: Branch, second: Branch) -> Optional[IntPoly]:
+    """The pair slope c = 2 m_first / n_first, an integer polynomial >= 1,
+    when the next link after first's link s is second's link s + shift with
+    n_second = 2 m_second c; None otherwise."""
+    c = first.m.scaled(2).divide_exact(first.n)
+    if c is None or first.violation(c - IntPoly.const(1)) is not None:
+        return None
+    shift = second.param(first.index(0) + 1)
+    if second.n.shifted_arg(shift) != second.m.shifted_arg(shift).scaled(2) * c:
+        return None
+    return c
+
+
+def _telescopes_numerically(seq, first: Branch, s_max, k_max) -> bool:
     """The composite over an aligned pair must be exactly k-1, except that
     a pair slope of 1 gives max(k-2, 0); both decrement."""
-    for s in range(0 if first == "odd" else 1, s_max + 1):
-        i = 2 * s + 1 if first == "odd" else 2 * s
-        if i < 1:
-            continue
+    for s in range(first.first, s_max + 1):
+        i = first.index(s)
         spec1, spec2 = seq.link(i), seq.link(i + 1)
         c = 2 * spec1.m // spec1.n
         for k in (1, 2, 3, 5, 17, k_max):
@@ -1034,12 +996,7 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         if cert["scope"] == "symbolic":
             if not isinstance(seq, GeneratorSequence):
                 return False
-            for name, n_poly, m_poly, start in _generator_branches(seq):
-                margin = m_poly.scaled(2) - n_poly - IntPoly.const(1)
-                ok, _ = margin.ge_from(0, start)
-                if not ok:
-                    return False
-            return True
+            return all(b.violation(_expansion_margin(b)) is None for b in seq.branches)
         return False
     if kind == "convergent_tau_series":
         if verdict.outcome != DOES_NOT_SHRINK:
@@ -1220,16 +1177,10 @@ def _verify_telescoping(verdict: ShrinkVerdict) -> bool:
     if not isinstance(seq, GeneratorSequence) or not seq.two_case:
         return False
     cert = verdict.certificate
-    first = "odd" if cert["alignment"] == "odd_then_even" else "even"
-    second = "even" if first == "odd" else "odd"
-    shift = 1 if first == "odd" else 0
-    data = _telescoping_data(seq, first, second, shift)
-    if data is None:
+    pair = _alignments(seq).get(cert["alignment"])
+    if pair is None:
         return False
-    c_poly, _ = data
-    if c_poly.text("s") != cert["pair_slope"]:
+    c_poly = _pair_slope(*pair)
+    if c_poly is None or c_poly.text("s") != cert["pair_slope"]:
         return False
-    return (
-        _verify_telescoping_numerically(seq, first, 20, 200)
-        and verdict.outcome == SHRINKS
-    )
+    return _telescopes_numerically(seq, pair[0], 20, 200) and verdict.outcome == SHRINKS

@@ -272,6 +272,15 @@ def test_milnor_without_index_exits_three(capsys):
     assert "--index or --all-upto-length" in err
 
 
+def test_milnor_empty_index_exits_three(capsys):
+    # an empty --index is given, so the fault is its length, not its absence
+    code, out, err = run(capsys, "milnor", "--builtin", "borromean", "--index", "")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "multi-index needs length >= 2" in err
+
+
 @pytest.mark.parametrize("length", ["1", "0", "-3"])
 def test_milnor_all_upto_length_below_two_exits_three(capsys, length):
     code, out, err = run(

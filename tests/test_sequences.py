@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toroshrink.drf import compose, nm_drf
 from toroshrink.linkio import NMLinkSpec
@@ -114,6 +114,43 @@ def test_generator_two_case_form():
 def test_generator_rejects_nonpositive_terms():
     with pytest.raises(SequenceError, match=">= 1"):
         GeneratorSequence(n_poly=parse_poly("i - 3"), m_poly=parse_poly("1"))
+
+
+@pytest.mark.parametrize("case, index", [("odd", 1), ("even", 2)])
+def test_two_case_positivity_error_names_the_link_index(case, index):
+    # s - 4 < 1 already at the first s of the case: odd s = 0, even s = 1
+    terms = {"even_n": "2", "even_m": "1", "odd_n": "2", "odd_m": "1", f"{case}_n": "s-4"}
+    with pytest.raises(SequenceError, match=f"^{case} n term is not >= 1 at index {index}$"):
+        GeneratorSequence(**{key: parse_poly(text) for key, text in terms.items()})
+
+
+# n and m terms >= 1 at every s >= 0: a constant >= 1 and nonnegative rest
+_branch_term = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda cs: IntPoly((cs[0] + 1, *cs[1:]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(_branch_term, min_size=4, max_size=4),
+    two_case=st.booleans(),
+    weights=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6)),
+    i0=st.integers(1, 12),
+)
+def test_branch_violation_matches_link_scan(terms, two_case, weights, i0):
+    if two_case:
+        seq = GeneratorSequence(even_n=terms[0], even_m=terms[1], odd_n=terms[2], odd_m=terms[3])
+    else:
+        seq = GeneratorSequence(n_poly=terms[0], m_poly=terms[1])
+    a, b, c = weights
+    for branch in seq.branches:
+        margin = branch.n.scaled(a) + branch.m.scaled(b) + IntPoly.const(c)
+        # every coefficient of the margin is at most 30 in size, so it has
+        # no sign change past s = 31 (Cauchy), i.e. past link index 63
+        parity = {"all": None, "even": 0, "odd": 1}[branch.name]
+        scan = [i for i in range(i0, 200) if parity is None or i % 2 == parity]
+        bad = [i for i in scan if a * seq.link(i).n + b * seq.link(i).m + c < 0]
+        assert branch.violation(margin, i0) == (bad[0] if bad else None)
 
 
 def test_explicit_sequence_horizon():

@@ -704,6 +704,23 @@ def test_verify_rejects_tampered_gap_bound():
     assert verify_certificate(_tamper(v, bound="1/1000")) is False
 
 
+def test_verify_rejects_unknown_telescoping_alignment():
+    # slope-one pairs telescope in both alignments, so only a label that
+    # names neither can fail; it must not be read as one of them
+    seq = GeneratorSequence(
+        even_n=parse_poly("2*s"),
+        even_m=parse_poly("s"),
+        odd_n=parse_poly("2*s+2"),
+        odd_m=parse_poly("s+1"),
+    )
+    v = orbit_decide(seq, k_max=12, m_max=3, p_max=200)
+    assert v.criterion == "telescoping_pairs"
+    for label in ("odd_then_even", "even_then_odd"):
+        assert verify_certificate(_tamper(v, alignment=label)) is True
+    for label in ("bogus", "", "even"):
+        assert verify_certificate(_tamper(v, alignment=label)) is False
+
+
 def test_no_contradictions_on_random_periodic():
     rng = random.Random(31)
     for _ in range(150):
