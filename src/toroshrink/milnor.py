@@ -15,8 +15,13 @@ certifies through the expansion of the defect word).
 
 The indeterminacy Delta_I is the GCD of all mu_J where J runs over the
 multi-indices obtained from I by deleting at least one entry and cyclically
-permuting the rest; Delta = 0 encodes an integer-valued invariant.  The
-residue mubar = mu mod Delta is normalized to [0, Delta).
+permuting the rest; Delta = 0 encodes an integer-valued invariant.  A
+subsequence of a rotation of I is a rotation of a subsequence of I, so for
+len(I) >= 3 Delta_I is the GCD of |mu_J| and Delta_J over the rotations J of
+the one-deletion subsequences of I, and Delta is 0 at length 2.  That
+recursion reads mu and Delta from bounded memos keyed by (link, index),
+which all calls share.  The residue mubar = mu mod Delta is normalized to
+[0, Delta).
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ __all__ = [
     "mu",
     "delta",
     "mubar",
-    "sub_multi_indices",
     "all_multi_indices",
     "MAX_INDEX_LENGTH",
 ]
 
 MAX_INDEX_LENGTH = 8
 MONOMIAL_BUDGET = 2_000_000
+# entries kept by each of the mu and Delta memos; all indices of length <= 8
+# over three components number 9,837
+_MEMO_SIZE = 1 << 15
 
 
 class MilnorError(ValueError):
@@ -191,33 +198,33 @@ def mu(link: LinkData, index: tuple[int, ...]) -> int:
     """The Magnus coefficient mu_I of the link."""
     index = tuple(index)
     _check_index(_labels(link), index)
-    q = len(index)
-    word = longitude_word(link, index[-1], q)
-    return word_coefficient(word, index[:-1])
-
-
-def sub_multi_indices(index: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All distinct multi-indices obtained by deleting one or more entries
-    and cyclically permuting the remainder (lengths 2 .. len-1)."""
-    index = tuple(index)
-    n = len(index)
-    out: set[tuple[int, ...]] = set()
-    for mask in range(1, 2**n - 1):
-        kept = tuple(index[i] for i in range(n) if mask & (1 << i))
-        if len(kept) < 2:
-            continue
-        for r in range(len(kept)):
-            out.add(kept[r:] + kept[:r])
-    return tuple(sorted(out))
+    return _mu(link, index)
 
 
 def delta(link: LinkData, index: tuple[int, ...]) -> int:
     """GCD indeterminacy Delta_I; 0 means integer valued."""
     index = tuple(index)
     _check_index(_labels(link), index)
+    return _delta(link, index)
+
+
+# every sub-index of a checked index is valid too: it is shorter, uses the
+# same labels and fits the same monomial budget
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mu(link: LinkData, index: tuple[int, ...]) -> int:
+    word = longitude_word(link, index[-1], len(index))
+    return word_coefficient(word, index[:-1])
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _delta(link: LinkData, index: tuple[int, ...]) -> int:
     g = 0
-    for sub in sub_multi_indices(index):
-        g = gcd(g, abs(mu(link, sub)))
+    if len(index) > 2:
+        for pos in range(len(index)):
+            sub = index[:pos] + index[pos + 1:]
+            for r in range(len(sub)):
+                rotation = sub[r:] + sub[:r]
+                g = gcd(g, abs(_mu(link, rotation)), _delta(link, rotation))
     return g
 
 

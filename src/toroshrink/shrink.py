@@ -850,7 +850,7 @@ def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
             "kind": "telescoping_pairs",
             "alignment": label,
             "pair_slope": c,
-            "identity": f"2*m_first = ({c}) * n_first and n_second = 2*m_second * ({c})",
+            "identity": _telescoping_identity(c),
             "numeric_check": "two-step composite is k-1 (k-2 when the pair "
             "slope is 1) for s <= 50, k <= 1000",
             "conclusion": "orbits decrease by at least one per aligned pair, "
@@ -858,6 +858,10 @@ def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
         }
         return ShrinkVerdict(SHRINKS, "telescoping_pairs", cert, seq)
     return None
+
+
+def _telescoping_identity(c: str) -> str:
+    return f"2*m_first = ({c}) * n_first and n_second = 2*m_second * ({c})"
 
 
 def _alignments(seq: GeneratorSequence) -> dict[str, tuple[Branch, Branch]]:
@@ -996,7 +1000,14 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         if cert["scope"] == "symbolic":
             if not isinstance(seq, GeneratorSequence):
                 return False
-            return all(b.violation(_expansion_margin(b)) is None for b in seq.branches)
+            margins = [(b, _expansion_margin(b)) for b in seq.branches]
+            witnesses = [
+                {"branch": b.name, "margin": margin.text("s"), "from": b.first}
+                for b, margin in margins
+            ]
+            if cert["branches"] != witnesses:
+                return False
+            return all(b.violation(margin) is None for b, margin in margins)
         return False
     if kind == "convergent_tau_series":
         if verdict.outcome != DOES_NOT_SHRINK:
@@ -1054,19 +1065,13 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         if _sup_widths(seq) != cert["sup_n"]:
             return False
         inner = dict(cert["inner"])
-        inner_verdict = ShrinkVerdict(
-            outcome=(
-                DOES_NOT_SHRINK
-                if cert["decision"] == "tau series converges"
-                else SHRINKS
-            ),
-            criterion=inner["kind"],
-            certificate=inner,
-            sequence=seq,
-        )
-        if inner_verdict.outcome != verdict.outcome:
+        decisions = {
+            "tau series converges": (DOES_NOT_SHRINK, "convergent_tau_series"),
+            "tau series diverges": (SHRINKS, "divergent_weighted_tau_series"),
+        }
+        if decisions.get(cert["decision"]) != (verdict.outcome, inner["kind"]):
             return False
-        return _verify(inner_verdict)
+        return _verify(ShrinkVerdict(verdict.outcome, inner["kind"], inner, seq))
     if kind == "ancel_starbird":
         return _verify_ancel_starbird(verdict)
     if kind == "orbit_periodic":
@@ -1181,6 +1186,9 @@ def _verify_telescoping(verdict: ShrinkVerdict) -> bool:
     if pair is None:
         return False
     c_poly = _pair_slope(*pair)
-    if c_poly is None or c_poly.text("s") != cert["pair_slope"]:
+    if c_poly is None:
+        return False
+    c = c_poly.text("s")
+    if c != cert["pair_slope"] or _telescoping_identity(c) != cert["identity"]:
         return False
     return _telescopes_numerically(seq, pair[0], 20, 200) and verdict.outcome == SHRINKS

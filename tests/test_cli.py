@@ -1,9 +1,11 @@
+import hashlib
 import json
+import os
 
 import pytest
 
 from toroshrink.cli import main
-from toroshrink.linkio import HOPF_PD
+from toroshrink.linkio import HOPF_PD, bing_axis_pd, format_pd
 
 
 def run(capsys, *argv):
@@ -72,6 +74,34 @@ def test_milnor_batch(capsys):
     )
     assert code == 0
     assert out.count("mu(") == 9
+
+
+# sha256 of the deterministic JSON bytes of two --all-upto-length runs,
+# captured from the code that enumerated every sub-index of each index
+# literally; a faster Delta must reproduce them, so never regenerate them
+# to make this test pass
+MILNOR_DATA = os.path.join(os.path.dirname(__file__), "data", "milnor_bytes.json")
+
+
+@pytest.mark.parametrize(
+    "link_args",
+    [("--pd", "bing_axis"), ("--builtin", "whitehead")],
+    ids=["bing_axis", "whitehead"],
+)
+def test_milnor_all_upto_length_six_bytes_unchanged(tmp_path, capsys, link_args):
+    flag, name = link_args
+    source = name
+    if flag == "--pd":
+        source = tmp_path / f"{name}.pd"
+        source.write_text(format_pd(bing_axis_pd()), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "milnor", flag, str(source), "--all-upto-length", "6",
+        "--format", "json", "--deterministic",
+    )
+    assert code == 0
+    with open(MILNOR_DATA, encoding="utf-8") as fh:
+        expected = json.load(fh)[f"milnor {flag} {name} --all-upto-length 6"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_shrink_decide_exit_codes(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
 
 from toroshrink.freegroup import commutator, parse_word
 from toroshrink.linkio import (
+    LinkPresentation,
     bing_axis_pd,
     builtin,
     parse_pd,
@@ -19,7 +21,6 @@ from toroshrink.milnor import (
     mubar,
     delta,
     reduce_longitude,
-    sub_multi_indices,
     all_multi_indices,
 )
 
@@ -106,14 +107,6 @@ def _brute_force_subindices(index):
             for r in range(len(sub)):
                 out.add(sub[r:] + sub[:r])
     return out
-
-
-@pytest.mark.parametrize(
-    "index",
-    [(0, 0, 1, 1), (1, 2, 3), (0, 1, 0, 1), (1, 2, 1, 2, 3)],
-)
-def test_sub_multi_indices_against_brute_force(index):
-    assert set(sub_multi_indices(index)) == _brute_force_subindices(index)
 
 
 def test_delta_matches_brute_force_gcd():
@@ -272,3 +265,67 @@ def test_word_coefficient_matches_full_expansion_on_longitudes(name):
             if q <= top:
                 for head in itertools.product(labels, repeat=q - 1):
                     assert mu(link, head + (component,)) == series.coefficient(head)
+
+
+def _link_labels(link):
+    return link.component_labels if hasattr(link, "component_labels") else link.labels
+
+
+# zero-framed words that are no link's longitudes: their mu is not
+# cyclically symmetric, so Delta must visit every rotation to match the
+# definition
+FREE_WORDS = LinkPresentation(
+    labels=(0, 1, 2),
+    longitude={
+        0: parse_word("x1 x2 x1 x2^-1 x1^-1 x2", 3),
+        1: parse_word("x0 x2 x0 x2^-1 x0^-1", 3),
+        2: parse_word("x0 x1 x0^-1 x1 x1", 3),
+    },
+)
+DELTA_ORACLE_LINKS = {**ORACLE_LINKS, "free_words": FREE_WORDS}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_ORACLE_LINKS))
+def test_delta_matches_literal_gcd_up_to_length_six(name):
+    # the one-deletion recursion against the GCD over every cyclic
+    # sub-index, enumerated literally; a presentation gives Delta up to one
+    # past its valid class, since Delta reads only shorter indices
+    link = DELTA_ORACLE_LINKS[name]
+    valid_class = getattr(link, "valid_class", None)
+    top = 6 if valid_class is None else min(6, valid_class + 1)
+    mus = {}
+    for index in all_multi_indices(_link_labels(link), top):
+        g = 0
+        for sub in _brute_force_subindices(index):
+            if sub not in mus:
+                mus[sub] = mu(link, sub)
+            g = gcd(g, abs(mus[sub]))
+        assert delta(link, index) == g, index
+
+
+def _records(calls):
+    return {(id(link), index): mubar(link, index) for link, index in calls}
+
+
+def test_memo_gives_the_same_records_in_any_order():
+    from toroshrink import milnor
+
+    # hopf and the unlink share their labels but not their invariants, so
+    # interleaving them checks that the memo keeps links apart
+    links = (pd_fixture("hopf"), UNLINK, bing_axis_pd())
+    calls = [
+        (link, index)
+        for link in links
+        for index in all_multi_indices(_link_labels(link), 5)
+    ]
+    expected = {}
+    for link in links:
+        milnor._mu.cache_clear()
+        milnor._delta.cache_clear()
+        expected.update(_records([c for c in calls if c[0] is link]))
+    shuffled = list(calls)
+    random.Random(7).shuffle(shuffled)
+    milnor._mu.cache_clear()
+    milnor._delta.cache_clear()
+    assert _records(shuffled) == expected
+    assert any(rec.delta for rec in expected.values())

@@ -721,6 +721,43 @@ def test_verify_rejects_unknown_telescoping_alignment():
         assert verify_certificate(_tamper(v, alignment=label)) is False
 
 
+def test_verify_rejects_tampered_expansion_branches():
+    v = decide(GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("i+1")))
+    assert v.criterion == "sher_armentrout" and v.certificate["scope"] == "symbolic"
+    assert verify_certificate(v) is True
+    (witness,) = v.certificate["branches"]
+    for branches in (
+        "bogus",
+        [],
+        [dict(witness, margin="2*s")],
+        [dict(witness, **{"from": witness["from"] + 1})],
+        [dict(witness, branch="even")],
+        [witness, witness],
+    ):
+        assert verify_certificate(_tamper(v, branches=branches)) is False
+
+
+@pytest.mark.parametrize("n, m", [("3", "i"), ("3", "1")])
+def test_verify_rejects_unknown_bounded_widths_decision(n, m):
+    v = decide(GeneratorSequence(n_poly=parse_poly(n), m_poly=parse_poly(m)))
+    assert v.criterion == "bounded_widths"
+    assert verify_certificate(v) is True
+    other = {
+        "tau series converges": "tau series diverges",
+        "tau series diverges": "tau series converges",
+    }[v.certificate["decision"]]
+    for decision in ("bogus", "", other):
+        assert verify_certificate(_tamper(v, decision=decision)) is False
+
+
+def test_verify_rejects_tampered_telescoping_identity():
+    v = decide(EXAMPLE_56)
+    assert v.criterion == "telescoping_pairs"
+    assert verify_certificate(v) is True
+    for identity in ("anything", v.certificate["identity"].replace("2*m_first", "m_first")):
+        assert verify_certificate(_tamper(v, identity=identity)) is False
+
+
 def test_no_contradictions_on_random_periodic():
     rng = random.Random(31)
     for _ in range(150):
