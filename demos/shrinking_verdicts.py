@@ -1,7 +1,7 @@
 """Shrinkability verdicts with certificates, for the classic examples.
 
 Every verdict carries a certificate that is re-checked from the raw
-sequence by an independent verifier; tampering with any certified value
+sequence by the certificate verifier; tampering with any certified value
 is detected.
 
 Run:  python3 demos/shrinking_verdicts.py

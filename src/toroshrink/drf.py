@@ -101,9 +101,7 @@ def nm_drf(spec: NMLinkSpec | tuple[int, int]) -> ExactChainFn:
     return ExactChainFn(spec)
 
 
-def lower_milnor_drf(
-    derivations: Sequence[CoverDerivation], verify: bool = True
-) -> MilnorLowerFn:
+def lower_milnor_drf(derivations: Sequence[CoverDerivation]) -> MilnorLowerFn:
     """Lower bound from derivations, verifying witnesses where possible.
 
     Each derivation carrying both a nonzero claim and a witness link is
@@ -114,7 +112,7 @@ def lower_milnor_drf(
     checked: list[CoverDerivation] = []
     records: list[MilnorRecord | None] = []
     for der in derivations:
-        if verify and der.claims_nonzero and der.witness_link is not None:
+        if der.claims_nonzero and der.witness_link is not None:
             rec = mubar(der.witness_link, der.witness_index)
             if rec.mubar == 0:
                 raise WitnessError(
@@ -133,7 +131,7 @@ def lower_milnor_drf(
     return MilnorLowerFn(derivations=tuple(checked), records=tuple(records))
 
 
-def nm_lower_drf(spec: NMLinkSpec | tuple[int, int], verify: bool = True) -> MilnorLowerFn:
+def nm_lower_drf(spec: NMLinkSpec | tuple[int, int]) -> MilnorLowerFn:
     """The canonical derivation-based lower bound for the (n,m) chain link.
 
     Take the winding-degree cover (d = m).  For n >= 2 the chain lifts to
@@ -164,7 +162,7 @@ def nm_lower_drf(spec: NMLinkSpec | tuple[int, int], verify: bool = True) -> Mil
             witness_link=bing_axis_pd(),
             note="degree-m cover, one chain copy kept, n-2 blow-downs",
         )
-    return lower_milnor_drf([derivation], verify=verify)
+    return lower_milnor_drf([derivation])
 
 
 def compose(fs: Sequence[Callable[[int], int]], k: int) -> list[int]:

@@ -145,6 +145,8 @@ class PDCode:
         if sorted(covered) != edges:
             raise PDError("component annotations must cover every arc exactly once")
         self.components = comps
+        # the milnor memos hash the link on every lookup
+        self._hash = hash((self.crossings, self.components))
 
         self._next: dict[int, int] = {}
         self._component_of: dict[int, int] = {}
@@ -244,7 +246,7 @@ class PDCode:
         )
 
     def __hash__(self):
-        return hash((self.crossings, self.components))
+        return self._hash
 
     def __repr__(self):
         return f"PDCode({len(self.crossings)} crossings, {self.n_components} components)"
@@ -577,6 +579,9 @@ class LinkPresentation:
                 )
             longs[i] = w
         object.__setattr__(self, "longitude", longs)
+        object.__setattr__(
+            self, "_hash", hash((labels, tuple(sorted(longs.items())), self.valid_class))
+        )
 
     @property
     def rank(self) -> int:
@@ -587,7 +592,7 @@ class LinkPresentation:
         return len(self.labels)
 
     def __hash__(self):
-        return hash((self.labels, tuple(sorted(self.longitude.items(), key=lambda kv: kv[0])), self.valid_class))
+        return self._hash
 
     def __eq__(self, other):
         return (

@@ -325,16 +325,13 @@ class Period:
 
 
 class LinkSequence:
-    """Interface: link(i) for i >= 1, known_bound() (None = total), and
-    one_period, the `Period` of the periodic variants (None otherwise)."""
+    """Interface: link(i) for i >= 1, and one_period, the `Period` of the
+    periodic variants (None otherwise)."""
 
     one_period: Period | None = None
 
     def link(self, i: int) -> NMLinkSpec:  # pragma: no cover
         raise NotImplementedError
-
-    def known_bound(self) -> int | None:
-        return None
 
     def tau(self, i: int) -> Fraction:
         return tau(self.link(i))
@@ -491,9 +488,6 @@ class ExplicitSequence(LinkSequence):
         object.__setattr__(self, "links", _coerce_specs(self.links))
         if not self.links:
             raise SequenceError("explicit sequence needs at least one link")
-
-    def known_bound(self) -> int | None:
-        return len(self.links)
 
     def link(self, i: int) -> NMLinkSpec:
         if i < 1:

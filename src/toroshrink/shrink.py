@@ -42,7 +42,6 @@ from .sequences import (
     Period,
     PeriodicSequence,
     partial_products,
-    tau,
 )
 
 __all__ = [
@@ -52,10 +51,6 @@ __all__ = [
     "ShrinkVerdict",
     "CertificateError",
     "VerdictConsistencyError",
-    "GeometricRatio",
-    "UserBound",
-    "HarmonicComparison",
-    "PeriodicProduct",
     "periodic_product",
     "sher_armentrout",
     "convergent_tau_series",
@@ -82,44 +77,11 @@ _PROBE = 64  # indices probed when proposing symbolic certificates
 
 
 class CertificateError(ValueError):
-    """A supplied certificate failed validation against the sequence."""
+    """A certificate failed validation against the sequence."""
 
 
 class VerdictConsistencyError(RuntimeError):
     """Two criteria produced contradictory verdicts: an internal bug."""
-
-
-# -- user-suppliable certificate requests -------------------------------------
-
-
-@dataclass(frozen=True)
-class GeometricRatio:
-    """Claim: tau_i <= r for all i >= i0 (blockwise when block > 1)."""
-
-    r: Fraction
-    i0: int = 1
-    block: int = 1
-
-
-@dataclass(frozen=True)
-class UserBound:
-    """Claim: sum_j prod_{i<=j} tau_i <= bound, justified off-tool."""
-
-    bound: Fraction
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class HarmonicComparison:
-    """Claim: (1/n_j) prod_{i<=j} tau_i >= c/j for all j >= i0."""
-
-    c: Fraction
-    i0: int = 1
-
-
-@dataclass(frozen=True)
-class PeriodicProduct:
-    """Claim: the sequence is periodic with period product >= 1."""
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -140,13 +102,6 @@ class ShrinkVerdict:
 
     def summary(self) -> str:
         return f"{self.outcome} (criterion: {self.criterion})"
-
-
-# -- exact helpers ---------------------------------------------------------------
-
-
-def _taus(seq: LinkSequence, upto: int) -> list[Fraction]:
-    return [seq.tau(i) for i in range(1, upto + 1)]
 
 
 # -- the periodic product criterion ----------------------------------------------
@@ -225,12 +180,10 @@ def _periodic_exact_sum(period: Period) -> Fraction:
     return sum(period.partials[:head], Fraction(0)) + tail
 
 
-def convergent_tau_series(
-    seq: LinkSequence, certificate=None
-) -> Optional[ShrinkVerdict]:
+def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """No-shrink from convergence of sum_j prod_{i<=j} tau_i.
 
-    With no certificate supplied, a geometric one is derived automatically
+    A geometric certificate is derived automatically
     for periodic sequences (exact sum) and for generators whose tau is
     provably bounded by some r < 1 from an index onward.  For a generator,
     the limit of n/(2m) on each branch is read first from the leading
@@ -238,44 +191,8 @@ def convergent_tau_series(
     leading coefficient); if any branch fails, no ratio exists.  Otherwise
     r is the largest tau over 64 links from i0 = 1, 2, 4, 8 in turn, and
     the first r < 1 that `IntPoly.ge_from` proves is an upper bound from
-    i0 on, branchwise, is the certificate.  A supplied but invalid
-    certificate is rejected with the first violating index.
+    i0 on, branchwise, is the certificate.
     """
-    if certificate is None:
-        return _auto_convergent(seq)
-    if isinstance(certificate, GeometricRatio):
-        _validate_geometric(seq, certificate)
-        return _geometric_verdict(seq, certificate)
-    if isinstance(certificate, UserBound):
-        probe_to = _PROBE
-        if seq.known_bound() is not None:
-            probe_to = min(probe_to, seq.known_bound())
-        partials = partial_products(_taus(seq, probe_to))
-        sums = []
-        acc = Fraction(0)
-        for p in partials:
-            acc += p
-            sums.append(acc)
-            if acc > certificate.bound:
-                raise CertificateError(
-                    f"partial sum at index {len(sums)} already exceeds the "
-                    f"declared bound {certificate.bound}"
-                )
-        k0 = int(certificate.bound) + 1
-        cert = {
-            "kind": "convergent_tau_series",
-            "method": "user_bound",
-            "bound": str(certificate.bound),
-            "note": certificate.note,
-            "assumed": True,
-            "probed_to": probe_to,
-            "k0": k0,
-        }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
-    raise CertificateError(f"unsupported certificate {certificate!r}")
-
-
-def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     period = seq.one_period
     if period is not None and period.product < 1:
         total = _periodic_exact_sum(period)
@@ -307,23 +224,23 @@ def _auto_convergent(seq: LinkSequence) -> Optional[ShrinkVerdict]:
                     bn, bd = n, d
             if bn >= bd:
                 continue
-            cert = GeometricRatio(r=Fraction(bn, bd), i0=i0)
+            r = Fraction(bn, bd)
             try:
-                _validate_geometric(seq, cert)
+                _validate_geometric(seq, r, i0)
             except CertificateError:
                 continue
-            return _geometric_verdict(seq, cert)
+            return _geometric_verdict(seq, r, i0)
     return None
 
 
-def _geometric_verdict(seq: LinkSequence, cert: GeometricRatio) -> ShrinkVerdict:
-    bound, k0, prefix = _geometric_bound(seq, cert)
+def _geometric_verdict(seq: LinkSequence, r: Fraction, i0: int) -> ShrinkVerdict:
+    bound, k0, prefix = _geometric_bound(seq, r, i0)
     data = {
         "kind": "convergent_tau_series",
         "method": "geometric_ratio",
-        "r": str(cert.r),
-        "i0": cert.i0,
-        "block": cert.block,
+        "r": str(r),
+        "i0": i0,
+        "block": 1,
         "prefix_partial_sums": [str(p) for p in prefix],
         "bound": str(bound),
         "k0": k0,
@@ -331,107 +248,63 @@ def _geometric_verdict(seq: LinkSequence, cert: GeometricRatio) -> ShrinkVerdict
     return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", data, seq)
 
 
-def _validate_geometric(seq: LinkSequence, cert: GeometricRatio) -> None:
-    if cert.r >= 1 or cert.r <= 0:
+def _validate_geometric(seq: LinkSequence, r: Fraction, i0: int) -> None:
+    """Raise unless seq is a generator with tau_i <= r < 1 for all i >= i0."""
+    if r >= 1 or r <= 0:
         raise CertificateError("geometric ratio must satisfy 0 < r < 1")
-    period = seq.one_period
-    if cert.block != 1:
-        if period is None or cert.block != len(period.links):
-            raise CertificateError("blockwise ratios only apply to the period length")
-        if cert.i0 != len(period.prefix) + 1:
-            raise CertificateError("blockwise ratios must start at the periodic tail")
-    if period is not None:
-        prefix_len = len(period.prefix)
-        if cert.block == 1:
-            # every periodic position recurs beyond any i0, so all must obey r
-            for offset, t in enumerate(period.taus):
-                if t > cert.r:
-                    raise CertificateError(
-                        f"tau at index {prefix_len + offset + 1} exceeds r"
-                    )
-            for i in range(cert.i0, prefix_len + 1):
-                if seq.tau(i) > cert.r:
-                    raise CertificateError(f"tau at index {i} exceeds r")
-        elif period.product > cert.r:
-            raise CertificateError("period product exceeds the declared block ratio")
-        return
-    if isinstance(seq, GeneratorSequence):
-        if cert.block != 1:
-            raise CertificateError("blockwise ratios only apply to periodic sequences")
-        # tau_i <= r  <=>  den(r) * n_i <= 2 num(r) * m_i, branchwise
-        for b in seq.branches:
-            margin = b.m.scaled(2 * cert.r.numerator) - b.n.scaled(cert.r.denominator)
-            index = b.violation(margin, cert.i0)
-            if index is not None:
-                raise CertificateError(f"tau at index {index} exceeds r")
-        return
-    raise CertificateError("cannot validate a geometric ratio on this variant")
+    if not isinstance(seq, GeneratorSequence):
+        raise CertificateError("geometric ratios are certified for generators only")
+    # tau_i <= r  <=>  den(r) * n_i <= 2 num(r) * m_i, branchwise
+    for b in seq.branches:
+        margin = b.m.scaled(2 * r.numerator) - b.n.scaled(r.denominator)
+        index = b.violation(margin, i0)
+        if index is not None:
+            raise CertificateError(f"tau at index {index} exceeds r")
 
 
-def _geometric_bound(seq: LinkSequence, cert: GeometricRatio):
-    """Exact upper bound for the tau series from a validated ratio claim."""
-    i0 = cert.i0
-    partials = partial_products(_taus(seq, i0 - 1))
+def _geometric_bound(seq: LinkSequence, r: Fraction, i0: int):
+    """Exact upper bound for the tau series when tau_i <= r from i0 on."""
+    partials = partial_products(seq.tau(i) for i in range(1, i0))
     prefix_sum = sum(partials, Fraction(0))
     p0 = partials[-1] if partials else Fraction(1)
-    if cert.block == 1:
-        tail = p0 * cert.r / (1 - cert.r)
-    else:
-        # validated: the blocks are whole periods, starting after the prefix
-        tail = p0 * sum(seq.one_period.block_partials, Fraction(0)) / (1 - cert.r)
-    bound = prefix_sum + tail
+    bound = prefix_sum + p0 * r / (1 - r)
     return bound, int(bound) + 1, partials
 
 
 # -- divergence of the weighted series ----------------------------------------------
 
 
-def divergent_weighted_tau_series(
-    seq: LinkSequence, certificate=None
-) -> Optional[ShrinkVerdict]:
-    """Shrink verdict from divergence of sum_j (1/n_j) prod_{i<=j} tau_i."""
-    if certificate is None:
-        certificate = _auto_divergent_cert(seq)
-        if certificate is None:
-            return None
-    elif isinstance(certificate, HarmonicComparison):
-        # an automatic floor needs no probe: _auto_divergent_cert proved it
-        _validate_harmonic(seq, certificate)
-    if isinstance(certificate, PeriodicProduct):
-        period = seq.one_period
-        if period is None:
-            raise CertificateError("periodic-product certificates need a periodic sequence")
+def divergent_weighted_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+    """Shrink verdict from divergence of sum_j (1/n_j) prod_{i<=j} tau_i.
+
+    A periodic sequence with period product >= 1 has no partial product
+    below the least one of its first period, so every term is at least
+    that over n_max.  A generator with constant widths and tau_i >= 1
+    everywhere has every partial product >= 1, so every term is at least
+    1/n_max >= (1/n_max)/j: a harmonic floor with c = 1/n_max from i0 = 1.
+    """
+    period = seq.one_period
+    if period is not None:
         if period.product < 1:
-            raise CertificateError("period product is below 1")
+            return None
         n_max = _sup_widths(seq)
         cert = {
             "kind": "divergent_weighted_tau_series",
             "method": "periodic_product",
             "product": str(period.product),
-            # with period product >= 1 no later partial product is smaller
             "term_floor": str(min(period.partials) / n_max),
             "n_max": n_max,
         }
-        return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
-    if isinstance(certificate, HarmonicComparison):
+    elif isinstance(seq, GeneratorSequence) and _harmonic_floor_fault(seq) is None:
         cert = {
             "kind": "divergent_weighted_tau_series",
             "method": "harmonic_comparison",
-            "c": str(certificate.c),
-            "i0": certificate.i0,
+            "c": str(Fraction(1, _sup_widths(seq))),
+            "i0": 1,
         }
-        return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
-    raise CertificateError(f"unsupported certificate {certificate!r}")
-
-
-def _auto_divergent_cert(seq: LinkSequence):
-    period = seq.one_period
-    if period is not None:
-        return PeriodicProduct() if period.product >= 1 else None
-    if isinstance(seq, GeneratorSequence) and _harmonic_floor_fault(seq) is None:
-        # every partial product is >= 1, so term_j >= 1/n_max >= (1/n_max)/j
-        return HarmonicComparison(c=Fraction(1, _sup_widths(seq)), i0=1)
-    return None
+    else:
+        return None
+    return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
 
 
 def _harmonic_floor_fault(seq: GeneratorSequence) -> Optional[str]:
@@ -443,38 +316,6 @@ def _harmonic_floor_fault(seq: GeneratorSequence) -> Optional[str]:
         if index is not None:
             return f"tau falls below 1 at index {index}; cannot maintain the harmonic floor"
     return None
-
-
-def _validate_harmonic(seq: LinkSequence, cert: HarmonicComparison) -> None:
-    if cert.c <= 0:
-        raise CertificateError("harmonic comparison needs c > 0")
-    if cert.i0 < 1:
-        raise CertificateError("harmonic comparison needs i0 >= 1")
-    probe_to = cert.i0 + _PROBE
-    try:
-        specs = [seq.link(j) for j in range(1, probe_to + 1)]
-    except HorizonError:
-        raise CertificateError("cannot validate on an explicit tail-unknown sequence")
-    partials = partial_products(tau(spec) for spec in specs)
-    for j in range(cert.i0, probe_to + 1):
-        # partial_j / n_j >= c / j, cross-multiplied
-        if partials[j - 1] * j < cert.c * specs[j - 1].n:
-            raise CertificateError(f"weighted term at index {j} falls below c/j")
-    # beyond the probe window the claim must hold structurally
-    period = seq.one_period
-    if period is not None:
-        if period.product < 1:
-            raise CertificateError(
-                "periodic weighted terms decay geometrically (period product < 1); "
-                "no harmonic floor can hold"
-            )
-        return
-    if isinstance(seq, GeneratorSequence):
-        fault = _harmonic_floor_fault(seq)
-        if fault is not None:
-            raise CertificateError(fault)
-        return
-    raise CertificateError("cannot validate a harmonic floor on this variant")
 
 
 # -- bounded widths: the two-sided criterion ------------------------------------------
@@ -959,11 +800,14 @@ def decide(
 
 
 def verify_certificate(verdict: ShrinkVerdict) -> bool:
-    """Independently re-evaluate a verdict's certificate from its sequence.
+    """Re-evaluate a verdict's certificate from its sequence.
 
     Every arithmetic claim stored in the certificate is recomputed from
-    the raw sequence; any mismatch, or an outcome that does not follow
-    from the certified facts, yields False.
+    the raw sequence; any mismatch, a label no criterion writes, or an
+    outcome that does not follow from the certified facts, yields False.
+    The check is not independent of the producers: it reads the same
+    `Period` and `Branch` data and reuses their exact-sum, geometric-ratio,
+    width, harmonic-floor, margin and pair-slope helpers.
     """
     try:
         return _verify(verdict)
@@ -1024,26 +868,17 @@ def _verify(verdict: ShrinkVerdict) -> bool:
                 and cert["k0"] > total
             )
         if method == "geometric_ratio":
-            gc = GeometricRatio(
-                r=Fraction(cert["r"]), i0=cert["i0"], block=cert.get("block", 1)
-            )
-            _validate_geometric(seq, gc)
-            bound, k0, prefix = _geometric_bound(seq, gc)
+            if cert["block"] != 1:
+                return False
+            r, i0 = Fraction(cert["r"]), cert["i0"]
+            _validate_geometric(seq, r, i0)
+            bound, k0, prefix = _geometric_bound(seq, r, i0)
             return (
                 str(bound) == cert["bound"]
                 and k0 == cert["k0"]
                 and [str(p) for p in prefix] == cert["prefix_partial_sums"]
                 and Fraction(cert["k0"]) > bound
             )
-        if method == "user_bound":
-            bound = Fraction(cert["bound"])
-            partials = partial_products(_taus(seq, cert.get("probed_to", _PROBE)))
-            acc = Fraction(0)
-            for p in partials:
-                acc += p
-                if acc > bound:
-                    return False
-            return cert["k0"] == int(bound) + 1 and cert.get("assumed") is True
         return False
     if kind == "divergent_weighted_tau_series":
         if verdict.outcome != SHRINKS:
@@ -1056,10 +891,13 @@ def _verify(verdict: ShrinkVerdict) -> bool:
                 return False
             return str(min(period.partials) / _sup_widths(seq)) == cert["term_floor"]
         if method == "harmonic_comparison":
-            _validate_harmonic(
-                seq, HarmonicComparison(c=Fraction(cert["c"]), i0=cert["i0"])
+            # constant widths and tau >= 1 give every term >= 1/n_max
+            return (
+                isinstance(seq, GeneratorSequence)
+                and _harmonic_floor_fault(seq) is None
+                and cert["c"] == str(Fraction(1, _sup_widths(seq)))
+                and cert["i0"] == 1
             )
-            return True
         return False
     if kind == "bounded_widths":
         if _sup_widths(seq) != cert["sup_n"]:

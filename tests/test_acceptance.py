@@ -218,7 +218,7 @@ def test_criterion_5d_discfn_properties():
         assert (np.diff(vals) >= 0).all()
         for k in (0, 1, 7, 10_000):
             assert f(k) == vals[k]
-        lower = nm_lower_drf((n, m), verify=False)
+        lower = nm_lower_drf((n, m))
         assert lower(0) == 0
         # the derivation-based bound never exceeds the exact function on
         # the whole range: evaluate its case formula vectorized

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 
 import pytest
 
@@ -101,6 +102,35 @@ def test_milnor_all_upto_length_six_bytes_unchanged(tmp_path, capsys, link_args)
     assert code == 0
     with open(MILNOR_DATA, encoding="utf-8") as fh:
         expected = json.load(fh)[f"milnor {flag} {name} --all-upto-length 6"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# sha256 of the stdout of the full deterministic report and of each demo,
+# captured before the tau-series criteria lost their caller-supplied
+# certificates; a change that keeps behaviour must reproduce them, so never
+# regenerate them to make this test pass
+OUTPUT_DATA = os.path.join(os.path.dirname(__file__), "data", "output_bytes.json")
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "report --format json --deterministic",
+        "demos/disc_replicating_functions.py",
+        "demos/milnor_invariants.py",
+        "demos/shrinking_verdicts.py",
+    ],
+)
+def test_output_bytes_unchanged(capsys, name):
+    if name.startswith("demos/"):
+        runpy.run_path(os.path.join(DEMOS, os.path.basename(name)), run_name="__main__")
+        out = capsys.readouterr().out
+    else:
+        code, out, _ = run(capsys, *name.split())
+        assert code == 0
+    with open(OUTPUT_DATA, encoding="utf-8") as fh:
+        expected = json.load(fh)[name]
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

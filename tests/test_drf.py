@@ -131,7 +131,7 @@ def test_lower_bound_never_exceeds_exact():
     for n in range(1, 8):
         for m in range(1, 8):
             exact = nm_drf((n, m))
-            lower = nm_lower_drf((n, m), verify=False)
+            lower = nm_lower_drf((n, m))
             for k in range(0, 300):
                 assert lower(k) <= exact(k)
 

@@ -25,10 +25,7 @@ from toroshrink.shrink import (
     SHRINKS,
     UNKNOWN,
     CertificateError,
-    GeometricRatio,
-    HarmonicComparison,
-    PeriodicProduct,
-    UserBound,
+    ShrinkVerdict,
     ancel_starbird,
     bounded_widths,
     convergent_tau_series,
@@ -38,7 +35,7 @@ from toroshrink.shrink import (
     periodic_product,
     sher_armentrout,
     verify_certificate,
-    _auto_convergent,
+    _geometric_verdict,
     _orbit_evidence,
     _validate_geometric,
 )
@@ -131,27 +128,6 @@ def test_convergent_series_silent_on_pure_bing():
     assert convergent_tau_series(PURE_BING) is None
 
 
-def test_convergent_series_geometric_certificate():
-    v = convergent_tau_series(PURE_WHITEHEAD, GeometricRatio(r=Fraction(1, 2)))
-    assert v.outcome == DOES_NOT_SHRINK
-    assert Fraction(v.certificate["bound"]) == 1
-
-
-def test_convergent_series_rejects_bad_ratio():
-    with pytest.raises(CertificateError, match="exceeds r"):
-        convergent_tau_series(PURE_BING, GeometricRatio(r=Fraction(1, 2)))
-    with pytest.raises(CertificateError):
-        convergent_tau_series(PURE_WHITEHEAD, GeometricRatio(r=Fraction(3, 2)))
-
-
-def test_convergent_series_user_bound():
-    v = convergent_tau_series(PURE_WHITEHEAD, UserBound(bound=Fraction(2), note="test"))
-    assert v.outcome == DOES_NOT_SHRINK
-    assert v.certificate["assumed"] is True
-    with pytest.raises(CertificateError, match="exceeds"):
-        convergent_tau_series(PURE_BING, UserBound(bound=Fraction(3)))
-
-
 def test_convergent_series_generator_with_decaying_tau():
     # n = 2, m = i: tau = 1/i, eventually below 1/2
     seq = GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("i"))
@@ -170,7 +146,7 @@ def test_convergent_series_silent_on_example_55():
 def _fraction_window_probe(seq):
     """The search without the limit guard, in Fractions: r is the largest
     tau over 64 links from i0 = 1, 2, 4, 8, and the first r < 1 that
-    validates is the certificate."""
+    validates gives the certificate, as (r, i0)."""
     taus = []
     for i0 in (1, 2, 4, 8):
         taus += [seq.tau(i) for i in range(len(taus) + 1, i0 + 64)]
@@ -178,10 +154,10 @@ def _fraction_window_probe(seq):
         if r >= 1:
             continue
         try:
-            _validate_geometric(seq, GeometricRatio(r=r, i0=i0))
+            _validate_geometric(seq, r, i0)
         except CertificateError:
             continue
-        return GeometricRatio(r=r, i0=i0)
+        return r, i0
     return None
 
 
@@ -264,11 +240,11 @@ def test_auto_convergent_matches_fraction_window_probe(case):
     fields, limit_below_one = case
     plain, counted = GeneratorSequence(**fields), _CountingGenerator(**fields)
     expected = _fraction_window_probe(plain)
-    got = _auto_convergent(counted)
+    got = convergent_tau_series(counted)
     if expected is None:
         assert got is None
     else:
-        assert got.certificate == convergent_tau_series(plain, expected).certificate
+        assert got.certificate == _geometric_verdict(plain, *expected).certificate
     # the limit guard is exact: it reads no link precisely when some branch
     # has lim tau >= 1, where no geometric ratio can exist
     assert (counted.reads == []) == (not limit_below_one)
@@ -303,7 +279,7 @@ def test_auto_convergent_guard_matches_sympy_limit(case):
         for n, m in branches
     ]
     counted = _CountingGenerator(**fields)
-    _auto_convergent(counted)
+    convergent_tau_series(counted)
     assert (counted.reads == []) == any(limit >= 1 for limit in limits)
 
 
@@ -323,16 +299,7 @@ def test_divergent_series_harmonic_on_constant_widths():
 
 
 def test_divergent_series_rejects_example_56():
-    with pytest.raises(CertificateError):
-        divergent_weighted_tau_series(
-            EXAMPLE_56, HarmonicComparison(c=Fraction(1, 100))
-        )
     assert divergent_weighted_tau_series(EXAMPLE_56) is None
-
-
-def test_divergent_series_rejects_periodic_product_below_one():
-    with pytest.raises(CertificateError, match="below 1"):
-        divergent_weighted_tau_series(PURE_WHITEHEAD, PeriodicProduct())
 
 
 # -- bounded widths --------------------------------------------------------
@@ -758,6 +725,64 @@ def test_verify_rejects_tampered_telescoping_identity():
         assert verify_certificate(_tamper(v, identity=identity)) is False
 
 
+# -- forged certificates: the verifier accepts only what a criterion writes ----
+
+# what `user_bound` claimed: sum prod tau <= 1000, "justified off-tool"
+USER_BOUND = {
+    "kind": "convergent_tau_series",
+    "method": "user_bound",
+    "bound": "1000",
+    "note": "",
+    "assumed": True,
+    "probed_to": 64,
+    "k0": 1001,
+}
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [PURE_BING, GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1"))],
+    ids=["bing", "generator_2_1"],
+)
+def test_verify_rejects_user_bound_on_a_shrinking_sequence(seq):
+    assert decide(seq).outcome == SHRINKS
+    forged = ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", dict(USER_BOUND), seq)
+    assert verify_certificate(forged) is False
+
+
+def test_verify_rejects_blockwise_geometric_ratio_on_a_generator():
+    v = convergent_tau_series(GeneratorSequence(n_poly=parse_poly("1"), m_poly=parse_poly("i")))
+    assert v.certificate["block"] == 1 and verify_certificate(v) is True
+    assert verify_certificate(_tamper(v, block=2)) is False
+
+
+@pytest.mark.parametrize(
+    "prefix, tail, cert",
+    [
+        (((3, 1),), ((1, 1), (2, 3)), {"r": "1/2", "i0": 2, "block": 1,
+                                       "prefix_partial_sums": ["3/2"]}),
+        (((3, 1), (1, 2)), ((3, 1), (1, 2)), {"r": "3/8", "i0": 3, "block": 2,
+                                              "prefix_partial_sums": ["3/2", "3/8"]}),
+    ],
+    ids=["block_1", "block_period"],
+)
+def test_verify_rejects_geometric_ratio_on_a_periodic_sequence(prefix, tail, cert):
+    # periodic sequences are certified by their exact sum, never by a ratio
+    seq = EventuallyPeriodicSequence(prefix=prefix, tail=tail)
+    cert = dict(cert, kind="convergent_tau_series", method="geometric_ratio", bound="3", k0=4)
+    forged = ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", cert, seq)
+    assert verify_certificate(forged) is False
+
+
+def test_verify_rejects_harmonic_comparison_off_the_width_floor():
+    seq = GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1"))
+    v = divergent_weighted_tau_series(seq)
+    assert (v.certificate["c"], v.certificate["i0"]) == ("1/2", 1)
+    assert verify_certificate(v) is True
+    for c, i0 in (("1/4", 3), ("1/4", 1), ("1", 1), ("1/2", 3), ("2/4", 1)):
+        assert verify_certificate(_tamper(v, c=c, i0=i0)) is False
+
+
 def test_no_contradictions_on_random_periodic():
     rng = random.Random(31)
     for _ in range(150):
@@ -770,9 +795,7 @@ def test_no_contradictions_on_random_periodic():
 
 def test_raising_tau_preserves_divergence_certificate():
     # with the same widths n_j, raising every tau (lowering m) only raises
-    # the weighted terms, so a validated harmonic floor stays valid
-    from toroshrink.shrink import _validate_harmonic
-
+    # the weighted terms, so the term floor can only rise
     rng = random.Random(41)
     for _ in range(40):
         p = rng.randrange(1, 5)
@@ -786,9 +809,9 @@ def test_raising_tau_preserves_divergence_certificate():
             (n, max(1, m - rng.randrange(0, m))) for n, m in base
         ]  # lower m -> raise tau
         seq_a = PeriodicSequence(tuple(raised))
-        _validate_harmonic(seq_a, HarmonicComparison(c=floor, i0=1))
         w = divergent_weighted_tau_series(seq_a)
         assert w is not None and w.outcome == SHRINKS
+        assert Fraction(w.certificate["term_floor"]) >= floor
 
 
 # -- certificate bytes ----------------------------------------------------------------
@@ -838,27 +861,11 @@ CERTIFICATE_CASES = {
         _eventually(((3, 1), (2, 1)), ((1, 1), (5, 2)))
     ),
     "convergent_geometric_ratio_auto": lambda: convergent_tau_series(_generator("1", "i")),
-    "convergent_geometric_ratio_block_1": lambda: convergent_tau_series(
-        _eventually(((3, 1),), ((1, 1), (2, 3))), GeometricRatio(r=Fraction(1, 2), i0=2)
-    ),
-    "convergent_geometric_ratio_block_period": lambda: convergent_tau_series(
-        _eventually(((3, 1), (1, 2)), ((3, 1), (1, 2))),
-        GeometricRatio(r=Fraction(3, 8), i0=3, block=2),
-    ),
-    "convergent_user_bound": lambda: convergent_tau_series(
-        _eventually(((3, 1),), ((1, 1),)), UserBound(bound=Fraction(7, 2), note="by hand")
-    ),
     "divergent_periodic_product": lambda: divergent_weighted_tau_series(
         _eventually(((1, 1), (4, 1)), ((4, 1), (1, 1)))
     ),
-    "divergent_periodic_product_supplied": lambda: divergent_weighted_tau_series(
-        _eventually(((2, 3),), ((5, 2), (3, 1))), PeriodicProduct()
-    ),
     "divergent_harmonic_auto": lambda: divergent_weighted_tau_series(
         _two_case("4", "1", "2", "1")
-    ),
-    "divergent_harmonic_supplied": lambda: divergent_weighted_tau_series(
-        _generator("2", "1"), HarmonicComparison(c=Fraction(1, 4), i0=3)
     ),
     "orbit_periodic_shrinks": lambda: orbit_decide(_eventually(((1, 3),), ((2, 1), (5, 2)))),
     "orbit_periodic_does_not_shrink": lambda: orbit_decide(
@@ -914,13 +921,13 @@ def test_decide_runs_the_automatic_convergence_check_once(monkeypatch):
     from toroshrink import shrink
 
     calls = []
-    original = shrink._auto_convergent
+    original = shrink.convergent_tau_series
 
     def counting(seq):
         calls.append(seq)
         return original(seq)
 
-    monkeypatch.setattr(shrink, "_auto_convergent", counting)
+    monkeypatch.setattr(shrink, "convergent_tau_series", counting)
     v = decide(_generator("3", "1"))
     assert v.criterion == "bounded_widths"
     assert len(calls) == 1
