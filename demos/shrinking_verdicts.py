@@ -28,7 +28,7 @@ def show(title, verdict):
     if verdict.corroborating:
         agrees = ", ".join(c for c, _ in verdict.corroborating)
         print(f"    corroborated by: {agrees}")
-    print(f"    independent re-check: {verify_certificate(verdict)}")
+    print(f"    certificate re-check: {verify_certificate(verdict)}")
     print()
 
 

@@ -58,14 +58,13 @@ def _emit(payload: dict, args, text_lines: list[str]) -> None:
 
 
 def _load_link(args):
-    if getattr(args, "pd", None):
+    if args.pd:
         with open(args.pd, encoding="utf-8") as fh:
             return parse_pd(fh.read())
-    if getattr(args, "pd_text", None):
+    if args.pd_text:
         return parse_pd(args.pd_text)
-    spec = getattr(args, "builtin", None) or getattr(args, "link", None)
-    if spec:
-        return builtin(spec)
+    if args.builtin:
+        return builtin(args.builtin)
     raise ValueError("no link given: use --pd, --pd-text, or --builtin")
 
 
@@ -295,7 +294,6 @@ def build_parser() -> _Parser:
     p_mil.add_argument("--pd", help="PD code file")
     p_mil.add_argument("--pd-text", help="PD code text")
     p_mil.add_argument("--builtin", help="builtin link spec")
-    p_mil.add_argument("--link", help="alias for --builtin")
     p_mil.add_argument("--index", help="multi-index, e.g. 0,0,1,1")
     p_mil.add_argument(
         "--all-upto-length", type=int, help="tabulate all multi-indices up to length q"

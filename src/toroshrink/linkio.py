@@ -65,7 +65,6 @@ __all__ = [
     "nm_presentation",
     "borromean_presentation",
     "first_homology",
-    "BUILTIN_NAMES",
 ]
 
 
@@ -825,21 +824,15 @@ def borromean_presentation() -> LinkPresentation:
     )
 
 
-BUILTIN_NAMES = ("hopf", "whitehead", "borromean", "bing", "nm")
-
 _NM_SPEC = re.compile(r"nm\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
-def builtin(name: str, n: int | None = None, m: int | None = None) -> LinkData:
+def builtin(name: str) -> LinkData:
     """Builtin link families: nm(n,m), hopf, whitehead, borromean, bing."""
     key = name.strip().lower()
     msp = _NM_SPEC.match(key)
     if msp:
         return nm_presentation(NMLinkSpec(int(msp.group(1)), int(msp.group(2))))
-    if key == "nm":
-        if n is None or m is None:
-            raise ValueError("nm family needs parameters, e.g. builtin('nm', 2, 1)")
-        return nm_presentation(NMLinkSpec(n, m))
     if key == "hopf":
         return parse_pd(HOPF_PD)
     if key == "whitehead":

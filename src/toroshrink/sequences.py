@@ -500,12 +500,21 @@ class ExplicitSequence(LinkSequence):
 # -- gap sequences for mixed Bing-Whitehead decompositions --------------------
 
 
-@dataclass(frozen=True)
-class GapSequence:
-    """Counts c_i of (2,1) chain stages between consecutive (1,1) stages.
+_BING = NMLinkSpec(2, 1)
+_WHITEHEAD = NMLinkSpec(1, 1)
 
-    kind: 'periodic' (values cycle), 'poly' (c(i) closed form), 'two_pow'
-    (c(i) = a*2^i + p(i)), or 'explicit' (finite prefix, unknown tail).
+
+@dataclass(frozen=True)
+class GapSequence(LinkSequence):
+    """The mixed (2,1)/(1,1) link sequence with c_i (2,1) stages between
+    consecutive (1,1) stages: gap g is c_g (2,1) links, then one (1,1).
+
+    kind: 'periodic' (values cycle; `one_period` holds the links of one
+    cycle), 'poly' (c(i) closed form), 'two_pow' (c(i) = a*2^i + p(i), p
+    the zero polynomial when not given), or 'explicit' (finite prefix,
+    unknown tail).  `link(i)` walks the gaps exactly, so a gap verdict
+    carries this sequence itself and its certificate is re-checked
+    against it.
     """
 
     kind: str
@@ -526,10 +535,11 @@ class GapSequence:
             if not ok:
                 raise SequenceError(f"gap term is negative at index {witness}")
         if self.kind == "two_pow":
+            if self.poly is None:
+                object.__setattr__(self, "poly", IntPoly(()))
             if self.two_pow_coeff < 1:
                 raise SequenceError("2^i coefficient must be >= 1")
-            extra = self.poly if self.poly is not None else IntPoly(())
-            ok, witness = extra.ge_from(0, 1)
+            ok, witness = self.poly.ge_from(0, 1)
             if not ok:
                 raise SequenceError(
                     f"2^i gap forms need a nonnegative remainder term "
@@ -562,8 +572,7 @@ class GapSequence:
         if self.kind == "poly":
             return self.poly(i)
         if self.kind == "two_pow":
-            extra = self.poly(i) if self.poly is not None else 0
-            return self.two_pow_coeff * 2**i + extra
+            return self.two_pow_coeff * 2**i + self.poly(i)
         if i > len(self.values):
             raise HorizonError(f"gap {i} beyond the declared data")
         return self.values[i - 1]
@@ -571,6 +580,25 @@ class GapSequence:
     def term(self, i: int) -> Fraction:
         """c_i / 2^i, the decisive series term."""
         return Fraction(self.gap(i), 2**i)
+
+    def link(self, i: int) -> NMLinkSpec:
+        if i < 1:
+            raise SequenceError("sequence indices start at 1")
+        g, c = 1, self.gap(1)
+        while i > c + 1:  # link i lies past gap g's c (2,1) links and its (1,1)
+            i -= c + 1
+            g += 1
+            c = self.gap(g)
+        return _BING if i <= c else _WHITEHEAD
+
+    @cached_property
+    def one_period(self) -> Period | None:
+        if self.kind != "periodic":
+            return None
+        links = []
+        for c in self.values:
+            links += [_BING] * c + [_WHITEHEAD]
+        return Period((), tuple(links))
 
 
 # -- config parsing ------------------------------------------------------------

@@ -12,15 +12,16 @@ tau_i = n_i / (2 m_i):
   * if sum_j prod_{i<=j} tau_i converges, the decomposition does not
     shrink; if sum_j (1/n_j) prod_{i<=j} tau_i diverges, it does;
   * strictly expanding stages (n_i < 2 m_i for all i) never shrink;
-  * mixed (2,1)/(1,1) sequences with gaps c_i shrink iff sum c_i / 2^i
-    diverges.
+  * a mixed (2,1)/(1,1) sequence given by its gaps c_i (a `GapSequence`,
+    itself a link sequence) shrinks iff sum c_i / 2^i diverges.
 
 No infinite series is ever decided numerically: a verdict requires a
 symbolic certificate (periodic product, geometric ratio, term bound,
 ratio test, harmonic comparison, or a telescoping composite), validated
-against the sequence variant, and every certificate can be re-checked
-from the raw sequence by :func:`verify_certificate`.  Inputs outside the
-reach of every criterion yield an honest Unknown with orbit evidence.
+against the sequence variant.  Every verdict carries its sequence (a gap
+verdict its `GapSequence`), and :func:`verify_certificate` re-checks the
+certificate against it.  Inputs outside the reach of every criterion
+yield an honest Unknown with orbit evidence.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ from typing import Optional
 from .drf import chain_step
 from .sequences import (
     Branch,
-    ExplicitSequence,
     GapSequence,
     GeneratorSequence,
     HorizonError,
     IntPoly,
     LinkSequence,
     Period,
-    PeriodicSequence,
     partial_products,
 )
 
@@ -368,32 +367,22 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
     """Verdict for a mixed (2,1)/(1,1) sequence given the gap counts c_i:
     shrinks iff sum c_i / 2^i diverges.
 
-    Periodic gap patterns always converge (geometric bound) and are
-    cross-checked against the periodic product criterion on the sequence
-    they generate; polynomial gaps converge by an exact ratio test; gaps
-    with a 2^i leading term diverge by a term bound.
+    The verdict's sequence is `gaps` itself.  Periodic gap patterns
+    converge (geometric bound), cross-checked by the periodic product
+    criterion on `gaps`; polynomial gaps converge by an exact ratio test;
+    gaps with a 2^i leading term diverge by a term bound.
     """
-    seq = _gap_sequence_links(gaps)
     if gaps.kind == "explicit":
-        partial = sum((gaps.term(i) for i in range(1, len(gaps.values) + 1)), Fraction(0))
         cert = {
             "kind": "ancel_starbird",
             "method": "undetermined",
-            "partial_sum": str(partial),
+            "partial_sum": str(_gap_partial_sum(gaps, len(gaps.values))),
             "known_gaps": list(gaps.values),
         }
-        return ShrinkVerdict(
-            UNKNOWN,
-            "ancel_starbird",
-            cert,
-            seq,
-            evidence={"reason": "gap tail is undeclared"},
-        )
+        evidence = {"reason": "gap tail is undeclared"}
+        return ShrinkVerdict(UNKNOWN, "ancel_starbird", cert, gaps, evidence=evidence)
     if gaps.kind == "periodic":
-        p = len(gaps.values)
-        one_period = sum((gaps.term(i) for i in range(1, p + 1)), Fraction(0))
-        total = one_period / (1 - Fraction(1, 2**p))
-        cross = periodic_product(seq)
+        cross = periodic_product(gaps)
         if cross.outcome != DOES_NOT_SHRINK:
             raise VerdictConsistencyError(
                 "periodic gaps must agree with the periodic product criterion"
@@ -402,55 +391,66 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
             "kind": "ancel_starbird",
             "method": "periodic_geometric",
             "gap_period": list(gaps.values),
-            "exact_sum": str(total),
+            "exact_sum": str(_periodic_gap_sum(gaps)),
             "cross_check": cross.certificate,
         }
-        return ShrinkVerdict(
-            DOES_NOT_SHRINK,
-            "ancel_starbird",
-            cert,
-            seq,
-            corroborating=(("periodic_product", cross.outcome),),
-        )
+        corroborating = (("periodic_product", cross.outcome),)
+        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps, corroborating)
     if gaps.kind == "poly":
         if gaps.poly.is_zero():
-            cert = {
-                "kind": "ancel_starbird",
-                "method": "zero_gaps",
-                "exact_sum": "0",
-            }
-            return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
+            cert = {"kind": "ancel_starbird", "method": "zero_gaps", "exact_sum": "0"}
+            return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
         r = Fraction(3, 4)
         i0 = _ratio_test_start(gaps.poly, r)
-        prefix = sum((gaps.term(i) for i in range(1, i0)), Fraction(0))
-        bound = prefix + gaps.term(i0) / (1 - r)
         cert = {
             "kind": "ancel_starbird",
             "method": "ratio_test",
-            "gap_term": gaps.poly.text("i"),
+            "gap_term": _gap_term(gaps),
             "r": str(r),
             "i0": i0,
-            "bound": str(bound),
+            "bound": str(_ratio_test_bound(gaps, r, i0)),
         }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
+        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
     # two_pow: terms are bounded below by the leading coefficient
-    extra = gaps.poly if gaps.poly is not None else IntPoly(())
     cert = {
         "kind": "ancel_starbird",
         "method": "term_bound",
         "delta": str(gaps.two_pow_coeff),
         "i0": 1,
         "two_pow_coeff": gaps.two_pow_coeff,
-        "extra_term": extra.text("i"),
-        "gap_term": f"{gaps.two_pow_coeff}*2^i"
-        + (f" + {extra.text('i')}" if not extra.is_zero() else ""),
+        "extra_term": gaps.poly.text("i"),
+        "gap_term": _gap_term(gaps),
     }
-    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, seq)
+    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, gaps)
+
+
+def _gap_term(gaps: GapSequence) -> str:
+    """c(i) of a 'poly' or 'two_pow' gap sequence, as certificates write it."""
+    if gaps.kind == "poly":
+        return gaps.poly.text("i")
+    extra = "" if gaps.poly.is_zero() else f" + {gaps.poly.text('i')}"
+    return f"{gaps.two_pow_coeff}*2^i{extra}"
+
+
+def _gap_partial_sum(gaps: GapSequence, count: int) -> Fraction:
+    """sum_{i <= count} c_i / 2^i."""
+    return sum((gaps.term(i) for i in range(1, count + 1)), Fraction(0))
+
+
+def _periodic_gap_sum(gaps: GapSequence) -> Fraction:
+    """Exact sum of c_i / 2^i for periodic gaps, one period over 1 - 2^-p."""
+    p = len(gaps.values)
+    return _gap_partial_sum(gaps, p) / (1 - Fraction(1, 2**p))
+
+
+def _ratio_margin(poly: IntPoly, r: Fraction) -> IntPoly:
+    """Nonnegative at i exactly where c(i+1)/2 <= r * c(i)."""
+    return poly.scaled(2 * r.numerator) - poly.shifted_arg(1).scaled(r.denominator)
 
 
 def _ratio_test_start(poly: IntPoly, r: Fraction) -> int:
     """Smallest i0 (by complete search) with c(i+1)/2 <= r * c(i) for all i >= i0."""
-    margin = poly.scaled(2 * r.numerator) - poly.shifted_arg(1).scaled(r.denominator)
+    margin = _ratio_margin(poly, r)
     i0 = 1
     for _ in range(10_000):
         ok, witness = margin.ge_from(0, i0)
@@ -460,19 +460,9 @@ def _ratio_test_start(poly: IntPoly, r: Fraction) -> int:
     raise CertificateError("ratio test start not found")  # pragma: no cover
 
 
-def _gap_sequence_links(gaps: GapSequence) -> LinkSequence:
-    """The link sequence a gap description generates.  Closed-form gaps
-    are cut down to their first 12 gaps, or fewer past 4096 links."""
-    declared = gaps.kind in ("periodic", "explicit")
-    links = []
-    for c in gaps.values if declared else map(gaps.gap, range(1, 13)):
-        links.extend([(2, 1)] * c)
-        links.append((1, 1))
-        if not declared and len(links) > 4096:
-            break
-    if gaps.kind == "periodic":
-        return PeriodicSequence(tuple(links))
-    return ExplicitSequence(tuple(links))
+def _ratio_test_bound(gaps: GapSequence, r: Fraction, i0: int) -> Fraction:
+    """The terms before i0, plus a geometric tail of ratio r from term i0."""
+    return _gap_partial_sum(gaps, i0 - 1) + gaps.term(i0) / (1 - r)
 
 
 # -- orbit simulation and the periodic orbit decision -----------------------------------
@@ -742,17 +732,6 @@ def _telescopes_numerically(seq, first: Branch, s_max, k_max) -> bool:
 # -- aggregation ---------------------------------------------------------------------
 
 
-_PRIORITY = (
-    "periodic_product",
-    "sher_armentrout",
-    "bounded_widths",
-    "convergent_tau_series",
-    "divergent_weighted_tau_series",
-    "orbit_periodic",
-    "telescoping_pairs",
-)
-
-
 def decide(
     seq: LinkSequence,
     k_max: int = DEFAULT_K_MAX,
@@ -760,7 +739,8 @@ def decide(
     p_max: int = DEFAULT_P_MAX,
 ) -> ShrinkVerdict:
     """Run every applicable criterion, enforce agreement, and return the
-    strongest verdict (Unknown with orbit evidence when nothing fires)."""
+    first verdict in the order below, corroborated by the others (Unknown
+    with orbit evidence when nothing fires)."""
     convergent = convergent_tau_series(seq)
     divergent = divergent_weighted_tau_series(seq)
     verdicts = [
@@ -779,20 +759,14 @@ def decide(
     )
     if orbit_verdict.outcome != UNKNOWN:
         verdicts.append(orbit_verdict)
-    decisive = [v for v in verdicts if v.outcome != UNKNOWN]
-    outcomes = {v.outcome for v in decisive}
-    if len(outcomes) > 1:
+    if len({v.outcome for v in verdicts}) > 1:
         raise VerdictConsistencyError(
-            f"contradictory verdicts: "
-            f"{[(v.criterion, v.outcome) for v in decisive]}"
+            f"contradictory verdicts: {[(v.criterion, v.outcome) for v in verdicts]}"
         )
-    if not decisive:
+    if not verdicts:
         return orbit_verdict
-    decisive.sort(key=lambda v: _PRIORITY.index(v.criterion))
-    primary = decisive[0]
-    corroborating = tuple(
-        (v.criterion, v.outcome) for v in decisive[1:]
-    ) + primary.corroborating
+    primary, *rest = verdicts
+    corroborating = tuple((v.criterion, v.outcome) for v in rest) + primary.corroborating
     return dataclasses.replace(primary, corroborating=corroborating)
 
 
@@ -807,13 +781,11 @@ def verify_certificate(verdict: ShrinkVerdict) -> bool:
     outcome that does not follow from the certified facts, yields False.
     The check is not independent of the producers: it reads the same
     `Period` and `Branch` data and reuses their exact-sum, geometric-ratio,
-    width, harmonic-floor, margin and pair-slope helpers.
+    width, harmonic-floor, margin, pair-slope and gap-series helpers.
     """
     try:
         return _verify(verdict)
-    except (CertificateError, VerdictConsistencyError, HorizonError, KeyError):
-        return False
-    except (ValueError, TypeError):
+    except (VerdictConsistencyError, HorizonError, KeyError, ValueError, TypeError):
         return False
 
 
@@ -922,49 +894,53 @@ def _verify(verdict: ShrinkVerdict) -> bool:
 
 
 def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
-    cert = verdict.certificate
+    """Re-check a gap certificate against the gaps of `verdict.sequence`."""
+    cert, gaps = verdict.certificate, verdict.sequence
+    if not isinstance(gaps, GapSequence):
+        return False
     method = cert["method"]
-    if method == "undetermined":
-        return verdict.outcome == UNKNOWN
-    if method == "periodic_geometric":
-        values = tuple(cert["gap_period"])
-        gaps = GapSequence.periodic(values)
-        p = len(values)
-        one_period = sum((gaps.term(i) for i in range(1, p + 1)), Fraction(0))
-        total = one_period / (1 - Fraction(1, 2**p))
-        if str(total) != cert["exact_sum"]:
-            return False
-        return verdict.outcome == DOES_NOT_SHRINK
-    if method == "zero_gaps":
-        return verdict.outcome == DOES_NOT_SHRINK
-    if method == "ratio_test":
-        from .sequences import parse_poly
-
-        poly = parse_poly(cert["gap_term"].replace(" ", ""))
-        r = Fraction(cert["r"])
-        i0 = cert["i0"]
-        margin = poly.scaled(2 * r.numerator) - poly.shifted_arg(1).scaled(
-            r.denominator
+    if gaps.kind == "explicit":
+        return (
+            method == "undetermined"
+            and cert["known_gaps"] == list(gaps.values)
+            and cert["partial_sum"] == str(_gap_partial_sum(gaps, len(gaps.values)))
+            and verdict.outcome == UNKNOWN
         )
-        ok, _ = margin.ge_from(0, i0)
-        if not ok:
-            return False
-        gaps = GapSequence.from_poly(poly)
-        prefix = sum((gaps.term(i) for i in range(1, i0)), Fraction(0))
-        bound = prefix + gaps.term(i0) / (1 - r)
-        return str(bound) == cert["bound"] and verdict.outcome == DOES_NOT_SHRINK
-    if method == "term_bound":
-        from .sequences import parse_poly
-
-        coeff = cert["two_pow_coeff"]
-        if Fraction(cert["delta"]) != coeff or coeff < 1:
-            return False
-        extra_text = cert["extra_term"].replace(" ", "")
-        extra = IntPoly(()) if extra_text == "0" else parse_poly(extra_text)
-        ok, _ = extra.ge_from(0, cert["i0"])
-        # terms are coeff + extra(i)/2^i >= coeff >= 1, so the series diverges
-        return ok and verdict.outcome == SHRINKS
-    return False
+    if gaps.kind == "periodic":
+        cross = cert["cross_check"]
+        return (
+            method == "periodic_geometric"
+            and cert["gap_period"] == list(gaps.values)
+            and cert["exact_sum"] == str(_periodic_gap_sum(gaps))
+            and cross["kind"] == "periodic_product"
+            and _verify(ShrinkVerdict(DOES_NOT_SHRINK, "periodic_product", cross, gaps))
+            and verdict.outcome == DOES_NOT_SHRINK
+        )
+    if gaps.kind == "two_pow":
+        coeff, i0 = gaps.two_pow_coeff, cert["i0"]
+        # from i0 on, c_i / 2^i = coeff + extra(i) / 2^i >= coeff >= 1: divergence
+        return (
+            method == "term_bound"
+            and cert["two_pow_coeff"] == coeff
+            and cert["delta"] == str(coeff)
+            and cert["extra_term"] == gaps.poly.text("i")
+            and cert["gap_term"] == _gap_term(gaps)
+            and i0 >= 1
+            and gaps.poly.ge_from(0, i0)[0]
+            and verdict.outcome == SHRINKS
+        )
+    if verdict.outcome != DOES_NOT_SHRINK:
+        return False
+    if gaps.poly.is_zero():
+        return method == "zero_gaps" and cert["exact_sum"] == "0"
+    r, i0 = Fraction(cert["r"]), cert["i0"]
+    return (
+        method == "ratio_test"
+        and cert["gap_term"] == _gap_term(gaps)
+        and 0 < r < 1
+        and _ratio_margin(gaps.poly, r).ge_from(0, i0)[0]
+        and cert["bound"] == str(_ratio_test_bound(gaps, r, i0))
+    )
 
 
 def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:

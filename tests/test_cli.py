@@ -358,6 +358,14 @@ def test_no_link_given_exits_three(capsys):
     assert "no link given" in err
 
 
+def test_milnor_link_alias_is_gone(capsys):
+    # --builtin is the one way to name a builtin link
+    with pytest.raises(SystemExit) as exc:
+        main(["milnor", "--link", "bing", "--index", "0,1,2"])
+    assert exc.value.code == 3
+    assert "--link" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("env, flag", [("1,2", None), (None, "1,2")])
 def test_bad_horizon_exits_three(tmp_path, capsys, monkeypatch, env, flag):
     path = tmp_path / "seq.json"

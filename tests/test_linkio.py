@@ -162,6 +162,11 @@ def test_builtin_bad_parameters():
         builtin("nm(0,2)")
 
 
+def test_builtin_nm_family_is_spelled_nm_n_m():
+    with pytest.raises(ValueError, match="unknown builtin"):
+        builtin("nm")
+
+
 def test_nm_chain_longitude_exponent_sums():
     # chain component adjacent to two neighbours: exponent sum +1 in each
     link = nm_presentation(NMLinkSpec(5, 2))

@@ -251,6 +251,71 @@ def test_gap_sequence_two_pow():
     assert gaps.term(4) == 1
 
 
+def test_gap_sequence_two_pow_extra_term_defaults_to_zero():
+    gaps = GapSequence.two_pow(3)
+    assert gaps.poly == IntPoly(())
+    assert gaps == GapSequence.two_pow(3, IntPoly(()))
+    assert gaps.gap(2) == 12
+
+
+# (kind, data): periodic and explicit gap values, poly coefficients, or
+# (2^i coefficient, extra coefficients); nonnegative data, nonnegative gaps
+_gap_cases = st.one_of(
+    st.tuples(st.just("periodic"), st.lists(st.integers(0, 5), min_size=1, max_size=5)),
+    st.tuples(st.just("explicit"), st.lists(st.integers(0, 5), min_size=1, max_size=6)),
+    st.tuples(st.just("poly"), st.lists(st.integers(0, 3), max_size=3)),
+    st.tuples(
+        st.just("two_pow"), st.tuples(st.integers(1, 3), st.lists(st.integers(0, 3), max_size=2))
+    ),
+)
+
+
+def _written_gap(kind, data, g):
+    """c(g) computed by hand from the data."""
+    if kind in ("periodic", "explicit"):
+        return data[(g - 1) % len(data)]
+    if kind == "poly":
+        return sum(c * g**k for k, c in enumerate(data))
+    coeff, extra = data
+    return coeff * 2**g + sum(c * g**k for k, c in enumerate(extra))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_gap_cases, picks=st.lists(st.integers(1, 6000), min_size=1, max_size=4))
+def test_gap_sequence_link_matches_the_gaps_written_out(case, picks):
+    kind, data = case
+    gaps = {
+        "periodic": lambda: GapSequence.periodic(data),
+        "explicit": lambda: GapSequence.explicit(data),
+        "poly": lambda: GapSequence.from_poly(IntPoly(tuple(data))),
+        "two_pow": lambda: GapSequence.two_pow(data[0], IntPoly(tuple(data[1]))),
+    }[kind]()
+    checked = set(picks) | set(range(1, 41))
+    if kind in ("poly", "two_pow"):
+        checked |= {4096, 4097, 6000}  # past where a 4096-link cut would end
+    # each gap g is c(g) (2,1) links and then one (1,1) link
+    written = []
+    g = 1
+    while len(written) < max(checked) and not (kind == "explicit" and g > len(data)):
+        written += [(2, 1)] * _written_gap(kind, data, g) + [(1, 1)]
+        g += 1
+    for i in sorted(checked):
+        if i <= len(written):
+            assert (gaps.link(i).n, gaps.link(i).m) == written[i - 1]
+        else:
+            assert kind == "explicit"
+            with pytest.raises(HorizonError):
+                gaps.link(i)
+    if kind == "periodic":
+        period = []
+        for c in data:
+            period += [(2, 1)] * c + [(1, 1)]
+        assert [(s.n, s.m) for s in gaps.one_period.links] == period
+        assert gaps.one_period.prefix == ()
+    else:
+        assert gaps.one_period is None
+
+
 def test_gap_sequence_rejects_negative():
     with pytest.raises(SequenceError):
         GapSequence.periodic([2, -1])

@@ -783,6 +783,96 @@ def test_verify_rejects_harmonic_comparison_off_the_width_floor():
         assert verify_certificate(_tamper(v, c=c, i0=i0)) is False
 
 
+# one gap sequence per certificate method, and another of the same kind
+GAP_METHODS = {
+    "periodic_geometric": (GapSequence.periodic([2, 0, 1]), GapSequence.periodic([2, 1, 0])),
+    "ratio_test": (GapSequence.from_poly("i^2+1"), GapSequence.from_poly("i^2+2")),
+    "term_bound": (GapSequence.two_pow(2, parse_poly("i")), GapSequence.two_pow(2)),
+    "zero_gaps": (GapSequence.from_poly("0"), GapSequence.from_poly("1")),
+    "undetermined": (GapSequence.explicit([3, 1, 4]), GapSequence.explicit([3, 1, 5])),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GAP_METHODS))
+def test_ancel_starbird_verdict_carries_its_gaps(method):
+    gaps, _ = GAP_METHODS[method]
+    v = ancel_starbird(gaps)
+    assert v.certificate["method"] == method
+    assert v.sequence is gaps
+    assert verify_certificate(v) is True
+
+
+@pytest.mark.parametrize("method", sorted(GAP_METHODS))
+@pytest.mark.parametrize(
+    "other",
+    [
+        PURE_BING,
+        GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1")),
+        PURE_WHITEHEAD,
+        "same_kind",
+    ],
+    ids=["bing", "generator_2_1", "whitehead", "same_kind"],
+)
+def test_verify_rejects_gap_certificate_on_another_sequence(method, other):
+    gaps, same_kind = GAP_METHODS[method]
+    other = same_kind if other == "same_kind" else other
+    v = ancel_starbird(gaps)
+    assert verify_certificate(dataclasses.replace(v, sequence=other)) is False
+
+
+@pytest.mark.parametrize(
+    "method, field, value",
+    [
+        ("periodic_geometric", "gap_period", [2, 1, 0]),
+        ("undetermined", "known_gaps", [3, 1]),
+        ("undetermined", "partial_sum", "0"),
+        ("ratio_test", "gap_term", "i^2 + 2"),
+        ("ratio_test", "r", "2"),
+        ("ratio_test", "r", "1"),
+        ("ratio_test", "i0", 1),
+        ("term_bound", "gap_term", "2*2^i"),
+        ("term_bound", "extra_term", "0"),
+        ("term_bound", "two_pow_coeff", 1),
+        ("term_bound", "delta", "1"),
+        ("term_bound", "i0", 0),
+        ("zero_gaps", "exact_sum", "1"),
+        ("zero_gaps", "method", "ratio_test"),
+        ("ratio_test", "method", "zero_gaps"),
+        ("periodic_geometric", "method", "undetermined"),
+    ],
+)
+def test_verify_rejects_tampered_gap_field(method, field, value):
+    v = ancel_starbird(GAP_METHODS[method][0])
+    assert verify_certificate(_tamper(v, **{field: value})) is False
+
+
+def _cross_check_tampers():
+    cross = ancel_starbird(GapSequence.periodic([2, 0, 1])).certificate["cross_check"]
+    return [
+        dict(cross, product="1"),
+        dict(cross, taus=list(reversed(cross["taus"]))),
+        dict(cross, period=cross["period"] + 1),
+        dict(cross, kind="sher_armentrout"),
+        ancel_starbird(GapSequence.periodic([2, 1, 0])).certificate["cross_check"],
+        periodic_product(PURE_WHITEHEAD).certificate,
+        "periodic_product",
+    ]
+
+
+@pytest.mark.parametrize("cross", _cross_check_tampers())
+def test_verify_rejects_tampered_cross_check(cross):
+    v = ancel_starbird(GapSequence.periodic([2, 0, 1]))
+    assert verify_certificate(_tamper(v, cross_check=cross)) is False
+
+
+def test_verify_rejects_a_cross_check_of_another_criterion():
+    # all-(1,1) gaps also satisfy sher_armentrout, so only the kind can fail
+    v = ancel_starbird(GapSequence.periodic([0]))
+    other = sher_armentrout(v.sequence)
+    assert verify_certificate(other) is True
+    assert verify_certificate(_tamper(v, cross_check=other.certificate)) is False
+
+
 def test_no_contradictions_on_random_periodic():
     rng = random.Random(31)
     for _ in range(150):
