@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .drf import chain_step
@@ -91,6 +92,22 @@ class IntPoly:
         out = 0
         for c in reversed(self.coeffs):
             out = out * i + c
+        return out
+
+    def values(self, start: int, count: int) -> list[int]:
+        """[p(start), p(start + 1), ..., p(start + count - 1)] by forward
+        differences: one running sum over the list per degree."""
+        if count < 1:
+            return []
+        degree = max(self.degree, 0)
+        row = [self(start + j) for j in range(degree + 1)]
+        heads = []  # heads[j]: the j-th forward difference at start
+        for _ in range(degree + 1):
+            heads.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        out = [heads.pop()] * count
+        for head in reversed(heads):
+            out = list(accumulate(out[:-1], initial=head))
         return out
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
@@ -325,13 +342,26 @@ class Period:
 
 
 class LinkSequence:
-    """Interface: link(i) for i >= 1, and one_period, the `Period` of the
-    periodic variants (None otherwise)."""
+    """Interface: link(i) for i >= 1; link_pairs(first, count), the
+    (n, 2m) of many links at once for the orbit steppers; and one_period,
+    the `Period` of the periodic variants (None otherwise)."""
 
     one_period: Period | None = None
 
     def link(self, i: int) -> NMLinkSpec:  # pragma: no cover
         raise NotImplementedError
+
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        """(n, 2m) of links first, ..., first + count - 1, cut where the
+        links stop being known (where `link` raises `HorizonError`)."""
+        out = []
+        for i in range(first, first + count):
+            try:
+                spec = self.link(i)
+            except HorizonError:
+                break
+            out.append((spec.n, 2 * spec.m))
+        return out
 
     def tau(self, i: int) -> Fraction:
         return tau(self.link(i))
@@ -477,6 +507,19 @@ class GeneratorSequence(LinkSequence):
         s = b.param(i)
         return NMLinkSpec(b.n(s), b.m(s))
 
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        # each branch fills its own residue class of indices, straight from
+        # its polynomials; construction already checked n, m >= 1
+        if first < 1:
+            raise SequenceError("sequence indices start at 1")
+        out = [None] * count
+        for b in self.branches:
+            i = first + (b.offset - first) % b.step  # first index on b
+            size = len(range(i, first + count, b.step))
+            s = b.param(i)
+            out[i - first :: b.step] = zip(b.n.values(s, size), b.m.scaled(2).values(s, size))
+        return out
+
 
 @dataclass(frozen=True)
 class ExplicitSequence(LinkSequence):
@@ -531,6 +574,8 @@ class GapSequence(LinkSequence):
             if any(v < 0 for v in self.values):
                 raise SequenceError("gap counts must be nonnegative")
         if self.kind == "poly":
+            if self.poly is None:
+                raise SequenceError("poly gap sequence needs its gap term poly")
             ok, witness = self.poly.ge_from(0, 1)
             if not ok:
                 raise SequenceError(f"gap term is negative at index {witness}")

@@ -532,58 +532,37 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
     longest-lived orbit from m, which decides whether some orbit took
     the last available link (the horizon flag), is orbit K_m or K_m + 1.
     The search doubles k from 1 until an orbit does not vanish, then
-    bisects: O(log K_m) orbit runs, and few of them above K_m, where an
-    orbit that neither vanishes nor caps runs all p_max steps.  Links
-    are fetched only as far as some orbit reaches.
+    bisects; when every orbit from m - 1 vanished it first tries orbit
+    k_max, and if that vanishes K_m = k_max after one orbit.
+
+    Orbits that hold the same value before link m_max share one path
+    from there on (`_OrbitPaths`).  A probe costs at most m_max - 1 plain
+    steps, and each distinct value at link m_max at most p_max steps in
+    all, however many probes reach it.
     """
-    links: list[tuple[int, int]] = []  # (n, 2m) of links 1, 2, ...
-
-    def fetch(count: int) -> bool:
-        """Extend `links` to `count` links; False when they are not known."""
-        while len(links) < count:
-            try:
-                spec = seq.link(len(links) + 1)
-            except HorizonError:
-                return False
-            links.append((spec.n, 2 * spec.m))
-        return True
-
-    cap = _ORBIT_VALUE_CAP
-
-    def orbit(k: int, m: int) -> tuple[int, int]:
-        """(final value, steps taken) of orbit (k, m)."""
-        v = k
-        pos = start = m - 1
-        end = start + p_max
-        while pos < end and fetch(pos + 1):
-            # a slice, not islice: islice would skip pos links on every
-            # link fetched at the frontier
-            for n, two_m in links[pos:end]:
-                pos += 1
-                # drf.chain_step inlined: a call per step would dominate
-                v = -(-two_m * v // n) - 1  # f(v), >= 0 since v >= 1
-                if not v:
-                    return 0, pos - start
-                if v > cap:
-                    return cap + 1, pos - start
-        return v, pos - start
-
+    orbits = _OrbitPaths(seq, m_max, p_max)
     resolved = 0
     unresolved: list[list[int]] = []
     horizon = False
     longest = 0
+    lo = 0
     for m in range(1, m_max + 1):
+        top_first = lo == k_max  # every orbit from m - 1 vanished
         runs = {0: (0, 0)}  # the orbit of 0 has vanished before any step
         lo, hi = 0, 1  # orbit lo vanishes; gallop until orbit hi does not
+        if top_first:
+            runs[k_max] = orbits.orbit(k_max, m)
+            if not runs[k_max][0]:
+                lo, hi = k_max, k_max + 1
         while hi <= k_max:
-            runs[hi] = orbit(hi, m)
+            runs[hi] = orbits.orbit(hi, m)
             if runs[hi][0]:
                 break
             lo, hi = hi, 2 * hi
         hi = min(hi, k_max + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            runs[mid] = orbit(mid, m)
+            runs[mid] = orbits.orbit(mid, m)
             if runs[mid][0]:
                 hi = mid
             else:
@@ -591,11 +570,11 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
         resolved += lo
         longest = max(longest, runs[lo][1])
         life = max(runs[lo][1], runs.get(hi, (0, 0))[1])
-        if life < p_max and not fetch(m + life):
+        if life < p_max and not orbits.read(m + life):
             horizon = True
         # the first 8 unresolved orbits in (m, k) order
         for k in range(hi, min(k_max, hi + 7 - len(unresolved)) + 1):
-            unresolved.append([k, m, (runs[k] if k in runs else orbit(k, m))[0]])
+            unresolved.append([k, m, orbits.orbit(k, m)[0]])
     return {
         "orbits_vanishing": resolved,
         "orbits_unresolved": k_max * m_max - resolved,
@@ -603,6 +582,72 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
         "longest_vanishing_orbit": longest,
         "horizon_exhausted": horizon,
     }
+
+
+class _OrbitPaths:
+    """The orbits (k, m) of `_orbit_evidence`, each distinct one stepped once.
+
+    The DRFs are deterministic, so two orbits that hold the same value
+    before the same link share the rest of their path.  Every start
+    m <= m_max reaches link m_max, so orbit (k, m) is stepped plainly over
+    links m, ..., m_max - 1 and then follows the path of its value there.
+    A path keeps only its frontier: its value (0 once it vanished, cap + 1
+    once it capped) and the number of links applied.  It is stepped on
+    only while it is alive and an orbit's window, links m .. m + p_max - 1,
+    reaches past the frontier.  A path still at link m_max has taken no
+    step, so its value may be a start k above the cap, which is alive.
+    Starts come in increasing order, so each window ends one link after
+    the last and never behind a frontier.
+    """
+
+    def __init__(self, seq: LinkSequence, m_max: int, p_max: int):
+        self.seq = seq
+        self.p_max = p_max
+        self.meet = m_max - 1  # links applied before link m_max
+        self.links: list[tuple[int, int]] = []  # (n, 2m) of links 1, 2, ...
+        self.paths: dict[int, list[int]] = {}  # value at link m_max -> frontier
+
+    def read(self, count: int) -> bool:
+        """Extend `links` to `count` links; False when they are not known."""
+        links = self.links
+        if len(links) < count:
+            links += self.seq.link_pairs(len(links) + 1, count - len(links))
+        return len(links) >= count
+
+    def walk(self, v: int, pos: int, end: int) -> tuple[int, int]:
+        """Apply links pos + 1, ..., end to v, stopping where it vanishes,
+        caps or the links run out: (value, links applied)."""
+        links, cap = self.links, _ORBIT_VALUE_CAP
+        while True:
+            # a slice, not islice: islice would skip pos links on every chunk
+            for n, two_m in links[pos:end]:
+                pos += 1
+                # drf.chain_step inlined: a call per step would dominate
+                v = -(-two_m * v // n) - 1  # f(v), >= 0 since v >= 1
+                if not v:
+                    return 0, pos
+                if v > cap:
+                    return cap + 1, pos
+            if pos >= end:
+                return v, pos
+            # read ahead in doubling chunks, within the window
+            self.read(min(end, max(2 * pos, self.meet + 1)))
+            if pos >= len(links):  # the links ran out
+                return v, pos
+
+    def orbit(self, k: int, m: int) -> tuple[int, int]:
+        """(final value, steps taken) of orbit (k, m)."""
+        start = m - 1
+        end = start + self.p_max
+        cap, meet = _ORBIT_VALUE_CAP, self.meet
+        v, pos = self.walk(k, start, min(end, meet))
+        # a value above the cap is frozen only after a step: k itself is not
+        if pos == meet < end and v and (v <= cap or pos == start):
+            path = self.paths.setdefault(v, [v, pos])
+            if path[1] < end and path[0] and (path[0] <= cap or path[1] == meet):
+                path[:] = self.walk(path[0], path[1], end)
+            v, pos = path
+        return v, pos - start
 
 
 def _spec_check_bound(period: Period) -> int:
@@ -796,6 +841,8 @@ def _verify(verdict: ShrinkVerdict) -> bool:
     period = seq.one_period
     if kind == "periodic_product":
         if period is None or len(period.links) != cert["period"]:
+            return False
+        if cert["prefix_skipped"] != len(period.prefix) or cert["shrinks_iff"] != "product >= 1":
             return False
         if [str(t) for t in period.taus] != cert["taus"]:
             return False

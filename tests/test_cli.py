@@ -107,9 +107,12 @@ def test_milnor_all_upto_length_six_bytes_unchanged(tmp_path, capsys, link_args)
 
 # sha256 of the stdout of the full deterministic report and of each demo,
 # captured before the tau-series criteria lost their caller-supplied
-# certificates; a change that keeps behaviour must reproduce them, so never
-# regenerate them to make this test pass
-OUTPUT_DATA = os.path.join(os.path.dirname(__file__), "data", "output_bytes.json")
+# certificates, and of `shrink decide` on two inputs that end Unknown with
+# orbit evidence (an Example 5.6 near-miss and explicit data), captured
+# before orbits shared paths; a change that keeps behaviour must reproduce
+# them, so never regenerate them to make this test pass
+DATA = os.path.join(os.path.dirname(__file__), "data")
+OUTPUT_DATA = os.path.join(DATA, "output_bytes.json")
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
 
@@ -120,12 +123,19 @@ DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
         "demos/disc_replicating_functions.py",
         "demos/milnor_invariants.py",
         "demos/shrinking_verdicts.py",
+        "shrink decide --config decide_near_miss.json --format json --deterministic",
+        "shrink decide --config decide_explicit.json --format json --deterministic",
     ],
 )
 def test_output_bytes_unchanged(capsys, name):
     if name.startswith("demos/"):
         runpy.run_path(os.path.join(DEMOS, os.path.basename(name)), run_name="__main__")
         out = capsys.readouterr().out
+    elif name.startswith("shrink decide"):  # the configs sit beside the hashes
+        argv = name.split()
+        argv[3] = os.path.join(DATA, argv[3])
+        code, out, _ = run(capsys, *argv)
+        assert code == 2  # unknown
     else:
         code, out, _ = run(capsys, *name.split())
         assert code == 0

@@ -280,16 +280,20 @@ def _written_gap(kind, data, g):
     return coeff * 2**g + sum(c * g**k for k, c in enumerate(extra))
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=_gap_cases, picks=st.lists(st.integers(1, 6000), min_size=1, max_size=4))
-def test_gap_sequence_link_matches_the_gaps_written_out(case, picks):
-    kind, data = case
-    gaps = {
+def _gap_sequence(kind, data) -> GapSequence:
+    return {
         "periodic": lambda: GapSequence.periodic(data),
         "explicit": lambda: GapSequence.explicit(data),
         "poly": lambda: GapSequence.from_poly(IntPoly(tuple(data))),
         "two_pow": lambda: GapSequence.two_pow(data[0], IntPoly(tuple(data[1]))),
     }[kind]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_gap_cases, picks=st.lists(st.integers(1, 6000), min_size=1, max_size=4))
+def test_gap_sequence_link_matches_the_gaps_written_out(case, picks):
+    kind, data = case
+    gaps = _gap_sequence(kind, data)
     checked = set(picks) | set(range(1, 41))
     if kind in ("poly", "two_pow"):
         checked |= {4096, 4097, 6000}  # past where a 4096-link cut would end
@@ -321,6 +325,11 @@ def test_gap_sequence_rejects_negative():
         GapSequence.periodic([2, -1])
     with pytest.raises(SequenceError):
         GapSequence.from_poly("i - 5")
+
+
+def test_poly_gap_sequence_without_a_term_names_it():
+    with pytest.raises(SequenceError, match="gap term poly"):
+        GapSequence(kind="poly")
 
 
 def test_tau_helper():
@@ -384,3 +393,61 @@ def test_period_is_none_off_the_periodic_variants():
     )
     assert two_case.one_period is None
     assert ExplicitSequence(((2, 1), (1, 1))).one_period is None
+
+
+# -- link_pairs, the bulk read of the orbit steppers ----------------------------
+
+# n and m terms up to degree 4, >= 1 at every s >= 0
+_bulk_term = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(
+    lambda cs: IntPoly((cs[0] + 1, *cs[1:]))
+)
+_any_sequence = st.one_of(
+    st.lists(_link_st, min_size=1, max_size=5).map(lambda links: PeriodicSequence(tuple(links))),
+    st.builds(
+        lambda prefix, tail: EventuallyPeriodicSequence(tuple(prefix), tuple(tail)),
+        st.lists(_link_st, max_size=4),
+        st.lists(_link_st, min_size=1, max_size=4),
+    ),
+    st.builds(lambda n, m: GeneratorSequence(n_poly=n, m_poly=m), _bulk_term, _bulk_term),
+    st.builds(
+        lambda en, em, on, om: GeneratorSequence(even_n=en, even_m=em, odd_n=on, odd_m=om),
+        _bulk_term, _bulk_term, _bulk_term, _bulk_term,
+    ),
+    st.lists(_link_st, min_size=1, max_size=30).map(lambda links: ExplicitSequence(tuple(links))),
+    _gap_cases.map(lambda case: _gap_sequence(*case)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=_any_sequence, first=st.integers(1, 40), count=st.integers(0, 40))
+def test_link_pairs_match_link(seq, first, count):
+    expected = []
+    for i in range(first, first + count):
+        try:
+            spec = seq.link(i)
+        except HorizonError:  # explicit data end here
+            break
+        expected.append((spec.n, 2 * spec.m))
+    assert seq.link_pairs(first, count) == expected
+
+
+@given(
+    coeffs=st.lists(st.integers(-50, 50), max_size=6),
+    start=st.integers(-30, 30),
+    count=st.integers(0, 30),
+)
+def test_poly_values_match_evaluation(coeffs, start, count):
+    p = IntPoly(tuple(coeffs))
+    assert p.values(start, count) == [p(i) for i in range(start, start + count)]
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        GeneratorSequence(n_poly=parse_poly("i"), m_poly=parse_poly("1")),
+        ExplicitSequence(((2, 1),)),
+    ],
+)
+def test_link_pairs_reject_index_zero(seq):
+    with pytest.raises(SequenceError):
+        seq.link_pairs(0, 3)

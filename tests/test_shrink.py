@@ -37,6 +37,7 @@ from toroshrink.shrink import (
     verify_certificate,
     _geometric_verdict,
     _orbit_evidence,
+    _OrbitPaths,
     _validate_geometric,
 )
 
@@ -479,8 +480,33 @@ def _evidence_cases(draw):
     k_max = draw(st.integers(1, 80))
     m_max = draw(st.integers(1, 8))
     p_max = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["explicit", "at_horizon", "generator", "two_case"]))
-    if kind == "generator":
+    kind = draw(st.sampled_from(["explicit", "at_horizon", "generator", "two_case", "meeting"]))
+    if kind == "meeting":
+        # orbits that hold their value for long stretches, so the orbits of
+        # the starts meet at link m_max and share paths; p_max falls below or
+        # above m_max, and explicit data end before, at or just after link
+        # m_max, or further on
+        m_max = draw(st.integers(2, 12))
+        p_max = draw(st.integers(1, m_max - 1) | st.integers(m_max, 60))
+        if draw(st.booleans()):
+            # Example 5.6 shape: even (2 s^2, 1), odd (2, (s+1)^2 + c)
+            c = draw(st.integers(0, 6))
+            seq = GeneratorSequence(
+                even_n=IntPoly((0, 0, 2)), even_m=IntPoly((1,)),
+                odd_n=IntPoly((2,)), odd_m=IntPoly((1 + c, 2, 1)),
+            )
+        else:
+            # (2m - d, m): d = 0 steps every orbit down by one, d in 1..4
+            # holds the small ones
+            size = draw(
+                st.integers(max(1, m_max - 2), m_max + 1)
+                | st.integers(m_max + 2, m_max + p_max + 1)
+            )
+            link = st.tuples(st.integers(70, 400), st.integers(0, 4)).map(
+                lambda md: (2 * md[0] - md[1], md[0])
+            )
+            seq = ExplicitSequence(tuple(draw(st.lists(link, min_size=size, max_size=size))))
+    elif kind == "generator":
         seq = GeneratorSequence(n_poly=draw(_poly_st), m_poly=draw(_poly_st))
     elif kind == "two_case":
         seq = GeneratorSequence(
@@ -499,10 +525,68 @@ def _evidence_cases(draw):
     return seq, k_max, m_max, p_max
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_evidence_cases())
 def test_orbit_evidence_matches_lockstep_reference(case):
     assert _orbit_evidence(*case) == _reference_evidence(*case)
+
+
+def _record(monkeypatch, method):
+    """Record the arguments and result of every call of an `_OrbitPaths` method."""
+    calls = []
+    original = getattr(_OrbitPaths, method)
+
+    def recording(self, *args):
+        result = original(self, *args)
+        calls.append((*args, result))
+        return result
+
+    monkeypatch.setattr(_OrbitPaths, method, recording)
+    return calls
+
+
+# link 1 caps every orbit; link 2 doubles and a run of (4, 1) links halves,
+# so with p_max = 6 from start 2 only the small orbits vanish, and from
+# start 3 on every orbit up to 64 does
+_TOP_FIRST = ExplicitSequence(((1, 10**9), (1, 1)) + ((4, 1),) * 30)
+
+
+def test_orbit_search_tries_k_max_first_only_after_every_orbit_vanished(monkeypatch):
+    calls = _record(monkeypatch, "orbit")
+    evidence = _orbit_evidence(_TOP_FIRST, 64, 5, 6)
+    assert evidence == _reference_evidence(_TOP_FIRST, 64, 5, 6)
+    probes = {m: [k for k, start, _ in calls if start == m] for m in range(1, 6)}
+    vanished = {m: max([k for k, start, run in calls if start == m and not run[0]], default=0)
+                for m in range(1, 6)}
+    assert vanished[1] == 0 and 0 < vanished[2] < 64
+    assert vanished[3] == vanished[4] == vanished[5] == 64
+    assert [probes[m][0] for m in (1, 2, 3)] == [1, 1, 1]
+    assert probes[4] == probes[5] == [64]
+
+
+def test_orbit_paths_meet_at_link_m_max_and_are_stepped_once(monkeypatch):
+    walks = _record(monkeypatch, "walk")
+    seq = GeneratorSequence(
+        even_n=parse_poly("2*s^2"), even_m=parse_poly("1"),
+        odd_n=parse_poly("2"), odd_m=parse_poly("(s+1)^2 + 2"),
+    )
+    k_max, m_max, p_max = 40, 6, 300
+    assert _orbit_evidence(seq, k_max, m_max, p_max) == _reference_evidence(seq, k_max, m_max, p_max)
+    meet = m_max - 1  # links applied before link m_max
+    plain = [w for w in walks if w[2] <= meet]
+    paths = [w for w in walks if w[2] > meet]
+    assert plain and paths
+    # every plain walk starts at link m <= m_max, and every path walk goes on
+    # from a frontier at or past link m_max that has not vanished or capped
+    assert all(pos <= meet for _, pos, _, _ in plain)
+    assert all(pos >= meet and 0 < v <= 10**9 for v, pos, _, _ in paths)
+    # a path starts once per value at link m_max, and later walks go on from
+    # where one ended, within the window of the latest start
+    firsts = [v for v, pos, _, _ in paths if pos == meet]
+    assert len(firsts) == len(set(firsts))
+    ends = {(v, pos) for _, _, _, (v, pos) in paths}
+    assert all(pos == meet or (v, pos) in ends for v, pos, _, _ in paths)
+    assert all(end <= meet + p_max for _, _, end, _ in paths)
 
 
 @pytest.mark.parametrize(
@@ -530,6 +614,30 @@ def test_orbit_evidence_exact_beyond_int64():
     evidence = _orbit_evidence(seq, 3000, 1, 10_000)
     assert evidence["orbits_vanishing"] == 0
     assert evidence["unresolved_sample"] == [[k, 1, 2 * k - 1] for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_orbit_evidence_steps_starts_above_the_cap(m_max):
+    # link (10^12, 1) sends every v <= 5 * 10^11 to 0, so each of the
+    # 2 * 10^9 orbits from each start vanishes at its first step, also
+    # those whose start k is above the 10^9 cap
+    k_max = 2 * 10**9
+    evidence = _orbit_evidence(ExplicitSequence(((10**12, 1),) * 5), k_max, m_max, 5)
+    assert evidence == {
+        "orbits_vanishing": k_max * m_max,
+        "orbits_unresolved": 0,
+        "unresolved_sample": [],
+        "longest_vanishing_orbit": 1,
+        "horizon_exhausted": False,
+    }
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+def test_orbit_path_from_a_start_above_the_cap_takes_a_step(m_max):
+    # link (2, 1) maps v to v - 1: from k = 2 * 10^9 the first step caps
+    orbits = _OrbitPaths(ExplicitSequence(((2, 1),) * 6), m_max, 5)
+    assert orbits.orbit(2 * 10**9, m_max) == (10**9 + 1, 1)
+    assert orbits.orbit(10**9 + 1, m_max) == (10**9 - 4, 5)
 
 
 def test_orbit_decide_degree_five_generator_is_unknown():
@@ -633,6 +741,13 @@ def _tamper(verdict, **updates):
 def test_verify_rejects_tampered_product():
     v = periodic_product(PURE_BING)
     assert verify_certificate(_tamper(v, product="2")) is False
+
+
+@pytest.mark.parametrize("field, value", [("prefix_skipped", 7), ("shrinks_iff", "product < 1")])
+def test_verify_rejects_tampered_periodic_product_field(field, value):
+    v = periodic_product(EventuallyPeriodicSequence(((4, 1),), ((2, 1),)))
+    assert verify_certificate(v) is True
+    assert verify_certificate(_tamper(v, **{field: value})) is False
 
 
 def test_verify_rejects_tampered_exact_sum():
@@ -856,6 +971,8 @@ def _cross_check_tampers():
         ancel_starbird(GapSequence.periodic([2, 1, 0])).certificate["cross_check"],
         periodic_product(PURE_WHITEHEAD).certificate,
         "periodic_product",
+        dict(cross, prefix_skipped=7),
+        dict(cross, shrinks_iff="product < 1"),
     ]
 
 
