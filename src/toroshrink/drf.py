@@ -7,8 +7,11 @@ function is exactly
 
     D(k) = max(ceil(2*m*k / n) - 1, 0),
 
-computed with integer ceiling division throughout; no verdict-relevant
-path touches floating point.
+computed with integer division throughout (for k >= 1 it equals
+floor((2mk - 1)/n)); no verdict-relevant path touches floating point.
+`chain_steps` is the batch kernel: it applies the functions of links
+given as (n, 2m) pairs, in order, to a whole list of values, one list
+comprehension per link.  `chain_step` is its one-link, one-value case.
 
 Lower bounds come from declared cover/sublink/blow-down derivations
 (:class:`~toroshrink.linkio.CoverDerivation`): a derivation with a
@@ -22,7 +25,7 @@ a claim of a nonzero invariant that computes to zero is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linkio import CoverDerivation, NMLinkSpec, bing_axis_pd, pd_fixture
 from .milnor import MilnorRecord, mubar
@@ -33,6 +36,7 @@ __all__ = [
     "WitnessError",
     "ceil_div",
     "chain_step",
+    "chain_steps",
     "nm_drf",
     "lower_milnor_drf",
     "nm_lower_drf",
@@ -51,9 +55,19 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def chain_steps(pairs: Iterable[tuple[int, int]], values: Iterable[int]) -> list[int]:
+    """The values after the DRFs of the links with these (n, 2m) pairs,
+    applied in order: [f_last(...f_1(v)...) for v in values]."""
+    values = list(values)
+    for n, two_m in pairs:
+        # ceil(2mv/n) - 1 = floor((2mv - 1)/n), which is >= 0 exactly when v > 0
+        values = [(two_m * v - 1) // n if v > 0 else 0 for v in values]
+    return values
+
+
 def chain_step(spec: NMLinkSpec, k: int) -> int:
     """D(k) = max(ceil(2mk/n) - 1, 0) of the (n,m) chain link, for k >= 0."""
-    return max(-(-2 * spec.m * k // spec.n) - 1, 0)
+    return chain_steps(((spec.n, 2 * spec.m),), (k,))[0]
 
 
 @dataclass(frozen=True)

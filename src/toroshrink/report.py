@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .drf import compose, nm_drf
+from .drf import chain_steps, compose, nm_drf
 from .linkio import builtin, pd_fixture
 from .milnor import mu, mubar
 from .sequences import GapSequence, GeneratorSequence, PeriodicSequence, parse_poly
@@ -122,12 +122,13 @@ def _check_example_56():
     if verdict.outcome != SHRINKS or not verify_certificate(verdict):
         return False, verdict.summary()
     # the aligned two-step composite contracts by exactly one for s >= 1
+    pairs = seq.link_pairs(3, 100)  # links 2s+1, 2s+2 for s = 1..50
+    ks = range(1, 1001)
     for s in range(1, 51):
-        f1 = nm_drf(seq.link(2 * s + 1))
-        f2 = nm_drf(seq.link(2 * s + 2))
-        for k in range(1, 1001):
-            if f2(f1(k)) != k - 1:
-                return False, f"pair composite fails at s={s}, k={k}"
+        values = chain_steps(pairs[2 * s - 2 : 2 * s], ks)
+        if values != list(range(1000)):
+            k = next(k for k, v in zip(ks, values) if v != k - 1)
+            return False, f"pair composite fails at s={s}, k={k}"
     return True, verdict.summary() + "; pair composite k-1 checked to s=50, k=1000"
 
 

@@ -9,9 +9,10 @@ an even/odd split), and explicit finite data with an unknown tail.
 
 The polynomial grammar is deliberately small: integer constants, one
 variable, +, -, *, ^.  Positivity of a polynomial from an index onward is
-decidable exactly (evaluate up to a coefficient bound past which the
-leading term dominates), which keeps every certificate symbolic rather
-than numeric sampling.
+decidable exactly (prove it from a nonnegative forward difference, or
+evaluate up to a coefficient bound past which the leading term
+dominates), which keeps every certificate symbolic rather than numeric
+sampling.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .drf import chain_step
+from .drf import chain_steps
 from .linkio import _NM_SPEC, NMLinkSpec
 
 __all__ = [
@@ -56,6 +57,25 @@ class HorizonError(LookupError):
 
 
 # -- integer polynomials -----------------------------------------------------
+#
+# Coefficient lists, ascending, are the working form: `parse_poly` and the
+# `IntPoly` operators all go through these two helpers.
+
+
+def _poly_add(a: Sequence[int], b: Sequence[int], scale: int = 1) -> list[int]:
+    """a + scale * b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for j, c in enumerate(b):
+        out[j] += scale * c
+    return out
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,45 +131,40 @@ class IntPoly:
         return out
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPoly(tuple(x + y for x, y in zip(a, b)))
+        return IntPoly(_poly_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return self.scaled(-1)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        return IntPoly(_poly_add(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly(_poly_mul(self.coeffs, other.coeffs))
 
     def scaled(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * x for x in self.coeffs))
+        return IntPoly([c * x for x in self.coeffs])
 
     def shifted_arg(self, delta: int) -> "IntPoly":
         """p(i + delta) as a polynomial in i."""
-        out = IntPoly.const(0)
-        shift = IntPoly((delta, 1))
-        power = IntPoly.const(1)
-        for c in self.coeffs:
-            out = out + power.scaled(c)
-            power = power * shift
-        return out
+        out: list[int] = []
+        for c in reversed(self.coeffs):  # Horner in i + delta
+            out = _poly_add(_poly_mul(out, (delta, 1)), (c,))
+        return IntPoly(out)
 
     def ge_from(self, bound: int, i_min: int) -> tuple[bool, int | None]:
         """Decide p(i) >= bound for every integer i >= i_min, exactly.
 
         Returns (True, None) or (False, first violating index >= i_min).
-        Beyond B = i_min-or-coefficient-bound the leading term dominates,
-        so checking up to B is a complete decision procedure.
+        Write p for the polynomial minus the bound.  Beyond the dominance
+        bound B = 1 + ceil((sum of |lower coefficients| + 1) / |lead|) the
+        leading term decides the sign, so scanning i_min..max(i_min, B)
+        is a complete decision procedure.  When that scan would take more
+        than (degree + 1)^2 evaluations and lead > 0, a proof is tried
+        first: if p(i_min) >= 0 and the forward difference p(i+1) - p(i)
+        is >= 0 for every i >= i_min (decided by `ge_from` itself, one
+        degree lower), then p(i) >= p(i_min) >= 0 from i_min on.  When
+        that proof fails, the scan runs as it would without it.
         """
         p = self - IntPoly.const(bound)
         if p.is_zero():
@@ -158,8 +173,13 @@ class IntPoly:
             return (p.coeffs[0] >= 0, None if p.coeffs[0] >= 0 else i_min)
         lead = p.coeffs[-1]
         lower = sum(abs(c) for c in p.coeffs[:-1])
-        dominance = 1 + (lower + 1 + abs(lead) - 1) // abs(lead)
+        dominance = 1 + (lower + abs(lead)) // abs(lead)
         limit = max(i_min, dominance)
+        if lead > 0 and limit - i_min + 1 > (p.degree + 1) ** 2:
+            if p(i_min) < 0:
+                return (False, i_min)
+            if (p.shifted_arg(1) - p).ge_from(0, i_min)[0]:
+                return (True, None)
         for i in range(i_min, limit + 1):
             if p(i) < 0:
                 return (False, i)
@@ -242,20 +262,20 @@ def parse_poly(text: str) -> IntPoly:
         state["i"] += 1
         return t
 
-    def atom() -> IntPoly:
+    def atom() -> list[int]:
         t = take()
         if t == "(":
             p = expr()
             if take() != ")":
                 raise SequenceError(f"unbalanced parentheses in {text!r}")
         elif t.isdigit():
-            p = IntPoly.const(int(t))
+            p = [int(t)]
         elif t.isalpha():
             if state["var"] is None:
                 state["var"] = t
             elif state["var"] != t:
                 raise SequenceError(f"two variables {state['var']!r}, {t!r} in {text!r}")
-            p = IntPoly.var()
+            p = [0, 1]
         else:
             raise SequenceError(f"unexpected token {t!r} in {text!r}")
         if peek() == "^":
@@ -263,33 +283,34 @@ def parse_poly(text: str) -> IntPoly:
             e = take()
             if not e.isdigit():
                 raise SequenceError(f"exponent must be a constant in {text!r}")
-            out = IntPoly.const(1)
+            out = [1]
             for _ in range(int(e)):
-                out = out * p
+                out = _poly_mul(out, p)
             p = out
         return p
 
-    def term() -> IntPoly:
+    def term() -> list[int]:
         p = atom()
         while peek() == "*":
             take()
-            p = p * atom()
+            p = _poly_mul(p, atom())
         return p
 
-    def expr() -> IntPoly:
+    def expr() -> list[int]:
+        p: list[int] = []
         sign = 1
         if peek() in "+-":
             sign = -1 if take() == "-" else 1
-        p = term().scaled(sign)
-        while peek() in "+-":
-            s = -1 if take() == "-" else 1
-            p = p + term().scaled(s)
-        return p
+        while True:
+            p = _poly_add(p, term(), sign)
+            if peek() not in "+-":
+                return p
+            sign = -1 if take() == "-" else 1
 
     out = expr()
     if take() != "$":
         raise SequenceError(f"trailing tokens in {text!r}")
-    return out
+    return IntPoly(out)
 
 
 # -- link sequences -----------------------------------------------------------
@@ -300,13 +321,16 @@ def tau(spec: NMLinkSpec) -> Fraction:
     return Fraction(spec.n, 2 * spec.m)
 
 
-def partial_products(taus: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """The running products t_1, t_1 t_2, t_1 t_2 t_3, ..."""
+def partial_products(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """The running products t_1, t_1 t_2, t_1 t_2 t_3, ... of the ratios
+    t_i = n_i/(2m_i) of links given as (n, 2m) pairs, formed in integers:
+    one `Fraction` per partial."""
     out = []
-    p = Fraction(1)
-    for t in taus:
-        p *= t
-        out.append(p)
+    num, den = 1, 1
+    for n, two_m in pairs:
+        num *= n
+        den *= two_m
+        out.append(Fraction(num, den))
     return tuple(out)
 
 
@@ -314,21 +338,23 @@ class Period:
     """The prefix and one period of a periodic or eventually periodic
     sequence, with the exact tau data the criteria read.
 
-    `taus` are the ratios n/(2m) of the period's links and `product` is
-    their product; the orbit slope prod 2m/n of one period is its inverse.
-    `block_partials` are the running products of `taus`, and `partials`
-    the running products prod_{i<=j} tau_i over the prefix and one period.
+    `pairs` are the (n, 2m) of the period's links, `taus` their ratios
+    n/(2m) and `product` the product of those; the orbit slope prod 2m/n
+    of one period is its inverse.  `block_partials` are the running
+    products of `taus`, and `partials` the running products
+    prod_{i<=j} tau_i over the prefix and one period.
     """
 
     def __init__(self, prefix: tuple[NMLinkSpec, ...], links: tuple[NMLinkSpec, ...]):
         self.prefix = prefix
         self.links = links
-        self.taus = tuple(tau(spec) for spec in links)
-        self.block_partials = partial_products(self.taus)
+        self.pairs = tuple((spec.n, 2 * spec.m) for spec in links)
+        self.taus = tuple(Fraction(n, two_m) for n, two_m in self.pairs)
+        self.block_partials = partial_products(self.pairs)
         self.product = self.block_partials[-1]
-        head = partial_products(tau(spec) for spec in prefix)
-        base = head[-1] if head else Fraction(1)
-        self.partials = head + tuple(base * p for p in self.block_partials)
+        self.partials = partial_products(
+            tuple((spec.n, 2 * spec.m) for spec in prefix) + self.pairs
+        )
 
     @property
     def slope(self) -> Fraction:
@@ -336,9 +362,13 @@ class Period:
 
     def composite(self, k: int) -> int:
         """g(k): the composed disc replicating functions of one period."""
-        for spec in self.links:
-            k = chain_step(spec, k)
-        return k
+        return chain_steps(self.pairs, (k,))[0]
+
+    def ascent(self, upto: int) -> int | None:
+        """The least k in 1..upto with g(k) >= k, or None when g descends
+        on all of them; g runs once over the whole range."""
+        ks = range(1, upto + 1)
+        return next((k for k, g in zip(ks, chain_steps(self.pairs, ks)) if g >= k), None)
 
 
 class LinkSequence:
@@ -627,14 +657,30 @@ class GapSequence(LinkSequence):
         return Fraction(self.gap(i), 2**i)
 
     def link(self, i: int) -> NMLinkSpec:
-        if i < 1:
+        pairs = self.link_pairs(i, 1)
+        if not pairs:
+            raise HorizonError(f"link {i} lies past the declared gaps")
+        return _BING if pairs[0] == (2, 2) else _WHITEHEAD
+
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        # one walk over the gaps, each gap read once
+        if first < 1:
             raise SequenceError("sequence indices start at 1")
-        g, c = 1, self.gap(1)
-        while i > c + 1:  # link i lies past gap g's c (2,1) links and its (1,1)
-            i -= c + 1
+        out: list[tuple[int, int]] = []
+        last = first + count - 1
+        end, g = 0, 0  # gaps 1..g fill links 1..end
+        while end < last:
             g += 1
-            c = self.gap(g)
-        return _BING if i <= c else _WHITEHEAD
+            try:
+                c = self.gap(g)
+            except HorizonError:
+                break
+            # gap g: links end+1 .. end+c are (2,1), link end+c+1 is (1,1)
+            out += [(2, 2)] * (min(end + c, last) - max(end, first - 1))
+            end += c + 1
+            if first <= end <= last:
+                out.append((1, 2))
+        return out
 
     @cached_property
     def one_period(self) -> Period | None:

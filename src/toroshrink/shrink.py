@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .drf import chain_step
+from .drf import chain_step, chain_steps
 from .sequences import (
     Branch,
     GapSequence,
@@ -212,13 +212,11 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             margin = b.m.scaled(2) - b.n
             if margin.degree != b.m.degree or margin.coeffs[-1] <= 0:
                 return None
-        ratios: list[tuple[int, int]] = []  # (n_i, 2 m_i), each link read once
-        for i0 in (1, 2, 4, 8):
-            for i in range(len(ratios) + 1, i0 + _PROBE):
-                spec = seq.link(i)
-                ratios.append((spec.n, 2 * spec.m))
+        starts = (1, 2, 4, 8)
+        ratios = seq.link_pairs(1, starts[-1] + _PROBE - 1)  # (n_i, 2 m_i)
+        for i0 in starts:
             bn, bd = ratios[i0 - 1]
-            for n, d in ratios[i0:]:
+            for n, d in ratios[i0 : i0 + _PROBE - 1]:
                 if n * bd > bn * d:
                     bn, bd = n, d
             if bn >= bd:
@@ -263,7 +261,7 @@ def _validate_geometric(seq: LinkSequence, r: Fraction, i0: int) -> None:
 
 def _geometric_bound(seq: LinkSequence, r: Fraction, i0: int):
     """Exact upper bound for the tau series when tau_i <= r from i0 on."""
-    partials = partial_products(seq.tau(i) for i in range(1, i0))
+    partials = partial_products(seq.link_pairs(1, i0 - 1))
     prefix_sum = sum(partials, Fraction(0))
     p0 = partials[-1] if partials else Fraction(1)
     bound = prefix_sum + p0 * r / (1 - r)
@@ -650,6 +648,25 @@ class _OrbitPaths:
         return v, pos - start
 
 
+_DESCENT_CHECK_MAX = 4096  # the most starts a periodic descent check runs
+_MONOTONE_ARGUMENT = (
+    "g is monotone with g(k0) >= k0, so the orbit of "
+    "k0 from the start of any period never drops below k0"
+)
+
+
+def _descent_text(k_star: int, a: Fraction) -> str:
+    return (
+        f"g(k) < k verified for 1 <= k <= {k_star}; "
+        f"each step satisfies f(v) < (2m/n) v, so g(k) < {a} k <= k for all k"
+    )
+
+
+def _offset_sum(period: Period) -> Fraction:
+    """sum over j of prod_{i>j} 2m_i/n_i, the slope times sum_j prod_{i<=j} tau_i."""
+    return period.slope * sum(period.block_partials, Fraction(0))
+
+
 def _spec_check_bound(period: Period) -> int:
     """Finite verification range for the one-period composite."""
     a = period.slope
@@ -660,24 +677,22 @@ def _spec_check_bound(period: Period) -> int:
 def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
     a = period.slope
     if a <= 1:
-        k_star = min(max(_spec_check_bound(period), k_max), 4096)
-        for k in range(1, k_star + 1):
-            if period.composite(k) >= k:
-                raise VerdictConsistencyError(
-                    f"slope {a} <= 1 but the period composite does not descend at {k}"
-                )
+        k_star = min(max(_spec_check_bound(period), k_max), _DESCENT_CHECK_MAX)
+        k = period.ascent(k_star)
+        if k is not None:
+            raise VerdictConsistencyError(
+                f"slope {a} <= 1 but the period composite does not descend at {k}"
+            )
         trace = _trace_orbit(period.links, min(k_max, 8))
         cert = {
             "kind": "orbit_periodic",
             "slope": str(a),
-            "descent": f"g(k) < k verified for 1 <= k <= {k_star}; "
-            f"each step satisfies f(v) < (2m/n) v, so g(k) < {a} k <= k for all k",
+            "descent": _descent_text(k_star, a),
             "checked_upto": k_star,
             "sample_orbit": trace,
         }
         return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
-    # sum over j of prod_{i>j} 2m_i/n_i, the slope times sum_j prod_{i<=j} tau_i
-    offsets = a * sum(period.block_partials, Fraction(0))
+    offsets = _offset_sum(period)
     k0 = int(offsets / (a - 1)) + 1
     one_period = [k0]
     for spec in period.links:
@@ -692,8 +707,7 @@ def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
         "offset_sum": str(offsets),
         "k0": k0,
         "period_trace_from_k0": one_period,
-        "monotone_argument": "g is monotone with g(k0) >= k0, so the orbit of "
-        "k0 from the start of any period never drops below k0",
+        "monotone_argument": _MONOTONE_ARGUMENT,
         "start_index": len(period.prefix) + 1,
     }
     return ShrinkVerdict(DOES_NOT_SHRINK, "orbit_periodic", cert, seq)
@@ -762,15 +776,17 @@ def _pair_slope(first: Branch, second: Branch) -> Optional[IntPoly]:
 
 def _telescopes_numerically(seq, first: Branch, s_max, k_max) -> bool:
     """The composite over an aligned pair must be exactly k-1, except that
-    a pair slope of 1 gives max(k-2, 0); both decrement."""
+    a pair slope of 1 gives max(k-2, 0); both decrement.  Checked for the
+    pairs s = first.first, ..., s_max, whose links are read in one run."""
+    ks = (1, 2, 3, 5, 17, k_max)
+    start = first.index(first.first)
+    pairs = seq.link_pairs(start, first.index(s_max) + 2 - start)
     for s in range(first.first, s_max + 1):
-        i = first.index(s)
-        spec1, spec2 = seq.link(i), seq.link(i + 1)
-        c = 2 * spec1.m // spec1.n
-        for k in (1, 2, 3, 5, 17, k_max):
-            expected = k - 1 if c > 1 else max(k - 2, 0)
-            if chain_step(spec2, chain_step(spec1, k)) != expected:
-                return False
+        j = first.index(s) - start
+        n, two_m = pairs[j]
+        drop = 1 if two_m // n > 1 else 2
+        if chain_steps(pairs[j : j + 2], ks) != [max(k - drop, 0) for k in ks]:
+            return False
     return True
 
 
@@ -999,30 +1015,34 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
     if str(a) != cert["slope"]:
         return False
     if verdict.outcome == SHRINKS:
-        if a > 1:
-            return False
-        upto = min(cert["checked_upto"], 4096)
-        for k in range(1, upto + 1):
-            if period.composite(k) >= k:
-                return False
-        trace = cert.get("sample_orbit", [])
-        return _replay_trace(period.links, trace)
+        upto = cert["checked_upto"]
+        return (
+            a <= 1
+            and 1 <= upto <= _DESCENT_CHECK_MAX
+            and cert["descent"] == _descent_text(upto, a)
+            and period.ascent(upto) is None
+            and _replay_trace(period.links, cert["sample_orbit"])
+        )
     if verdict.outcome == DOES_NOT_SHRINK:
-        if a <= 1:
-            return False
-        k0 = cert["k0"]
-        if period.composite(k0) < k0:
-            return False
-        trace = cert.get("period_trace_from_k0", [])
-        if trace and trace[0] != k0:
-            return False
-        return _replay_trace(period.links, trace, single_period=True)
+        k0, trace = cert["k0"], cert["period_trace_from_k0"]
+        return (
+            a > 1
+            and cert["offset_sum"] == str(_offset_sum(period))
+            and cert["monotone_argument"] == _MONOTONE_ARGUMENT
+            and cert["start_index"] == len(period.prefix) + 1
+            and k0 >= 1
+            and period.composite(k0) >= k0
+            and _replay_trace(period.links, trace, single_period=True)
+            and trace[0] == k0
+        )
     return False
 
 
 def _replay_trace(links, trace, single_period=False) -> bool:
+    """True when the nonempty `trace` is the orbit of its first value over
+    `links`, repeated (one pass only when `single_period`)."""
     if not trace:
-        return True
+        return False
     v = trace[0]
     if v < 0:  # disc replicating functions are defined on k >= 0
         return False

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toroshrink.freegroup import Word
-from toroshrink.linkio import CoverDerivation, LinkPresentation
+from toroshrink.linkio import CoverDerivation, LinkPresentation, NMLinkSpec
 from toroshrink.drf import (
     WitnessError,
     ceil_div,
+    chain_step,
+    chain_steps,
     compose,
     lower_milnor_drf,
     nm_drf,
@@ -27,6 +30,21 @@ def test_ceil_div_matches_fraction_oracle():
         a = rng.randrange(0, 10_000)
         b = rng.randrange(1, 50)
         assert ceil_div(a, b) == fraction_ceil(a, b)
+
+
+@given(
+    links=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=6),
+    values=st.lists(st.integers(1, 10**6), max_size=20).map(lambda vs: [0, *vs]),
+)
+def test_chain_steps_match_chain_step_link_by_link(links, values):
+    expected = []
+    for v in values:
+        for n, m in links:
+            oracle = max(fraction_ceil(2 * m * v, n) - 1, 0)
+            v = chain_step(NMLinkSpec(n, m), v)
+            assert v == oracle
+        expected.append(v)
+    assert chain_steps([(n, 2 * m) for n, m in links], values) == expected
 
 
 def test_bing_formula():

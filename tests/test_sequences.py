@@ -31,6 +31,48 @@ def test_parse_poly_examples():
     assert parse_poly("-s + s^2")(3) == 6
 
 
+@st.composite
+def _poly_text(draw, var, depth=2):
+    """Text in the term grammar: signed sums of products of factors, each
+    factor a constant, the variable or a parenthesised sum, maybe raised
+    to a constant power."""
+
+    def factor():
+        kind = draw(st.sampled_from(("const", "var", "paren") if depth else ("const", "var")))
+        if kind == "const":
+            body = str(draw(st.integers(0, 10**4)))
+        elif kind == "var":
+            body = var
+        else:
+            body = f"({draw(_poly_text(var, depth - 1))})"
+        if draw(st.booleans()):
+            body += f"^{draw(st.integers(0, 3))}"
+        return body
+
+    terms = [
+        "*".join(factor() for _ in range(draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from((" + ", " - ", "+", "-"))) + term
+    return ("-" + text) if draw(st.booleans()) else text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from("isxk").flatmap(lambda v: st.tuples(st.just(v), _poly_text(v))))
+def test_parse_poly_matches_sympy_expansion(case):
+    import sympy
+
+    var, text = case
+    x = sympy.Symbol(var)
+    expanded = sympy.Poly(sympy.sympify(text.replace("^", "**"), locals={var: x}), x)
+    coeffs = [int(c) for c in reversed(expanded.all_coeffs())]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert parse_poly(text).coeffs == tuple(coeffs)
+
+
 def test_parse_poly_rejects_garbage():
     for bad in ["", "s + t", "s^", "2**s", "s^-1", "(s+1", "s)"]:
         with pytest.raises(SequenceError):
@@ -54,6 +96,44 @@ def test_ge_from_complete_decision():
     neg = parse_poly("5 - i^2")
     ok, witness = neg.ge_from(0, 1)
     assert not ok and neg(witness) < 0
+
+
+def _scan_ge_from(p: IntPoly, bound: int, i_min: int):
+    """ge_from by the plain scan: every i from i_min up to the dominance
+    bound 1 + ceil((sum |lower| + 1) / |lead|) of p - bound, past which the
+    lead alone sets the sign."""
+    coeffs = list(p.coeffs) or [0]
+    coeffs[0] -= bound
+
+    def q(i):
+        return sum(c * i**e for e, c in enumerate(coeffs))
+
+    lead = coeffs[-1]
+    if len(coeffs) == 1:
+        return (True, None) if lead >= 0 else (False, i_min)
+    lower = sum(abs(c) for c in coeffs[:-1])
+    dominance = 1 + -(-(lower + 1) // abs(lead))
+    for i in range(i_min, max(i_min, dominance) + 1):
+        if q(i) < 0:
+            return (False, i)
+    if lead > 0:
+        return (True, None)
+    i = max(i_min, dominance) + 1
+    while q(i) >= 0:
+        i += 1
+    return (False, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lower=st.lists(st.integers(-3000, 3000), max_size=4),
+    lead=st.integers(-6, 6).filter(bool),
+    bound=st.integers(-20, 20),
+    i_min=st.integers(-5, 40),
+)
+def test_ge_from_matches_the_plain_scan(lower, lead, bound, i_min):
+    p = IntPoly((*lower, lead))
+    assert p.ge_from(bound, i_min) == _scan_ge_from(p, bound, i_min)
 
 
 def test_ge_from_constant():
@@ -320,6 +400,36 @@ def test_gap_sequence_link_matches_the_gaps_written_out(case, picks):
         assert gaps.one_period is None
 
 
+class _CountingGaps(GapSequence):
+    """A gap sequence that records every gap index it reads."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "reads", [])
+
+    def gap(self, i):
+        self.reads.append(i)
+        return super().gap(i)
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        _CountingGaps(kind="poly", poly=parse_poly("0")),
+        _CountingGaps(kind="poly", poly=parse_poly("i")),
+        _CountingGaps(kind="poly", poly=parse_poly("i^2")),
+        _CountingGaps(kind="periodic", values=(3, 0, 1)),
+        _CountingGaps(kind="two_pow", two_pow_coeff=1, poly=IntPoly(())),
+    ],
+)
+def test_gap_link_pairs_read_each_gap_they_span_once(gaps):
+    pairs = gaps.link_pairs(1, 10_000)
+    assert len(pairs) == 10_000
+    # gap g ends at its (1,1) link; the last gap may still be open
+    spanned = pairs.count((1, 2)) + (pairs[-1] == (2, 2))
+    assert gaps.reads == list(range(1, spanned + 1))
+
+
 def test_gap_sequence_rejects_negative():
     with pytest.raises(SequenceError):
         GapSequence.periodic([2, -1])
@@ -384,6 +494,17 @@ def test_period_matches_a_link_by_link_oracle(case):
     fns = [nm_drf(s) for s in specs[prefix_len:]]
     for k in range(0, 25):
         assert period.composite(k) == compose(fns, k)[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_periodic_case())
+def test_period_ascent_matches_the_per_k_composite_oracle(case):
+    seq, prefix_len, p = case
+    fns = [nm_drf(seq.link(i)) for i in range(prefix_len + 1, prefix_len + p + 1)]
+    first = next((k for k in range(1, 41) if compose(fns, k)[-1] >= k), None)
+    for upto in range(1, 41):
+        expected = first if first is not None and first <= upto else None
+        assert seq.one_period.ascent(upto) == expected
 
 
 def test_period_is_none_off_the_periodic_variants():

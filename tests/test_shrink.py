@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import toroshrink
+from toroshrink.linkio import NMLinkSpec
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,
@@ -17,6 +18,7 @@ from toroshrink.sequences import (
     GeneratorSequence,
     HorizonError,
     IntPoly,
+    LinkSequence,
     PeriodicSequence,
     parse_poly,
 )
@@ -35,9 +37,11 @@ from toroshrink.shrink import (
     periodic_product,
     sher_armentrout,
     verify_certificate,
+    _alignments,
     _geometric_verdict,
     _orbit_evidence,
     _OrbitPaths,
+    _telescopes_numerically,
     _validate_geometric,
 )
 
@@ -163,7 +167,8 @@ def _fraction_window_probe(seq):
 
 
 class _CountingGenerator(GeneratorSequence):
-    """A generator that records every index its links are read at."""
+    """A generator that records every index its links are read at, one by
+    one or in bulk."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -172,6 +177,10 @@ class _CountingGenerator(GeneratorSequence):
     def link(self, i):
         self.reads.append(i)
         return super().link(i)
+
+    def link_pairs(self, first, count):
+        self.reads.extend(range(first, first + count))
+        return super().link_pairs(first, count)
 
 
 # limits of tau = n/(2m) on one branch; the first two are below 1
@@ -838,6 +847,63 @@ def test_verify_rejects_tampered_telescoping_identity():
     assert verify_certificate(v) is True
     for identity in ("anything", v.certificate["identity"].replace("2*m_first", "m_first")):
         assert verify_certificate(_tamper(v, identity=identity)) is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("checked_upto", 1),
+        ("checked_upto", 10**12),
+        ("checked_upto", 0),
+        ("descent", "bogus"),
+        ("sample_orbit", []),
+    ],
+)
+def test_verify_rejects_forged_periodic_descent_field(field, value):
+    v = orbit_decide(PeriodicSequence(((2, 1), (3, 1))))
+    assert v.outcome == SHRINKS and v.criterion == "orbit_periodic"
+    assert verify_certificate(v) is True
+    assert verify_certificate(_tamper(v, **{field: value})) is False
+
+
+@pytest.mark.parametrize(
+    "updates",
+    [
+        {"offset_sum": "7"},
+        {"monotone_argument": "g is monotone"},
+        {"start_index": 99},
+        {"period_trace_from_k0": []},
+        # the orbit of 0 stays at 0 >= 0, which proves nothing
+        {"k0": 0, "period_trace_from_k0": [0, 0]},
+    ],
+)
+def test_verify_rejects_forged_periodic_ascent_field(updates):
+    v = orbit_decide(PURE_WHITEHEAD)
+    assert v.outcome == DOES_NOT_SHRINK and v.certificate["offset_sum"] == "1"
+    assert verify_certificate(v) is True
+    assert verify_certificate(_tamper(v, **updates)) is False
+
+
+class _OneLinkOff(GeneratorSequence):
+    """A generator whose link `off` winds twice as often, read one link at
+    a time."""
+
+    link_pairs = LinkSequence.link_pairs
+
+    def link(self, i):
+        spec = super().link(i)
+        return NMLinkSpec(spec.n, 2 * spec.m) if i == self.off else spec
+
+
+def test_telescoping_check_reads_every_pair():
+    first = _alignments(EXAMPLE_56)["odd_then_even"][0]
+    assert _telescopes_numerically(EXAMPLE_56, first, 50, 1000)
+    fields = {f: getattr(EXAMPLE_56, f) for f in ("even_n", "even_m", "odd_n", "odd_m")}
+    for s in range(first.first, 51):
+        for off in (first.index(s), first.index(s) + 1):
+            seq = _OneLinkOff(**fields)
+            object.__setattr__(seq, "off", off)
+            assert not _telescopes_numerically(seq, first, 50, 1000), (s, off)
 
 
 # -- forged certificates: the verifier accepts only what a criterion writes ----
