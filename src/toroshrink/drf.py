@@ -11,7 +11,8 @@ computed with integer division throughout (for k >= 1 it equals
 floor((2mk - 1)/n)); no verdict-relevant path touches floating point.
 `chain_steps` is the batch kernel: it applies the functions of links
 given as (n, 2m) pairs, in order, to a whole list of values, one list
-comprehension per link.  `chain_step` is its one-link, one-value case.
+comprehension per link.  `chain_step` is its one-link, one-value case,
+and `chain_orbit` the orbit of one value through it, link by link.
 
 Lower bounds come from declared cover/sublink/blow-down derivations
 (:class:`~toroshrink.linkio.CoverDerivation`): a derivation with a
@@ -35,6 +36,7 @@ __all__ = [
     "MilnorLowerFn",
     "WitnessError",
     "ceil_div",
+    "chain_orbit",
     "chain_step",
     "chain_steps",
     "nm_drf",
@@ -63,6 +65,15 @@ def chain_steps(pairs: Iterable[tuple[int, int]], values: Iterable[int]) -> list
         # ceil(2mv/n) - 1 = floor((2mv - 1)/n), which is >= 0 exactly when v > 0
         values = [(two_m * v - 1) // n if v > 0 else 0 for v in values]
     return values
+
+
+def chain_orbit(pairs: Iterable[tuple[int, int]], k: int) -> list[int]:
+    """The orbit [k, f_1(k), f_2(f_1(k)), ...] of k under the DRFs of the
+    links with these (n, 2m) pairs, applied in order."""
+    orbit = [k]
+    for pair in pairs:
+        orbit += chain_steps((pair,), orbit[-1:])
+    return orbit
 
 
 def chain_step(spec: NMLinkSpec, k: int) -> int:

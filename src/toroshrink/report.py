@@ -35,15 +35,15 @@ class CheckResult:
 
 
 def _check_bing_drf():
-    f = nm_drf((2, 1))
-    bad = [k for k in range(1, 10_001) if f(k) != k - 1]
-    return not bad, "D(k) = k-1 for k <= 10^4"
+    ks = range(1, 10_001)
+    ok = chain_steps(((2, 2),), ks) == [k - 1 for k in ks]
+    return ok, "D(k) = k-1 for k <= 10^4"
 
 
 def _check_whitehead_drf():
-    f = nm_drf((1, 1))
-    bad = [k for k in range(1, 10_001) if f(k) != 2 * k - 1]
-    return not bad, "D(k) = 2k-1 for k <= 10^4"
+    ks = range(1, 10_001)
+    ok = chain_steps(((1, 2),), ks) == [2 * k - 1 for k in ks]
+    return ok, "D(k) = 2k-1 for k <= 10^4"
 
 
 def _check_fig4():

@@ -8,11 +8,11 @@ eventually periodic, closed-form (integer polynomials in the index, with
 an even/odd split), and explicit finite data with an unknown tail.
 
 The polynomial grammar is deliberately small: integer constants, one
-variable, +, -, *, ^.  Positivity of a polynomial from an index onward is
-decidable exactly (prove it from a nonnegative forward difference, or
-evaluate up to a coefficient bound past which the leading term
-dominates), which keeps every certificate symbolic rather than numeric
-sampling.
+variable, +, -, *, ^, and degree at most 64.  Positivity of a
+polynomial from an index onward is decidable exactly (prove it from a
+nonnegative forward difference, or evaluate up to a coefficient bound
+past which the leading term dominates), which keeps every certificate
+symbolic rather than numeric sampling.
 """
 
 from __future__ import annotations
@@ -236,6 +236,12 @@ class IntPoly:
 
 _POLY_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|\(|\))")
 
+# The highest degree `parse_poly` expands to.  Expanding `^` and `*` costs
+# time that grows with the degree, not with the length of the text, so
+# "(i+1)^100000" would take hours.  The bound sits far above degree 9,
+# the highest in the demos and the benchmark configs.
+_MAX_DEGREE = 64
+
 
 def parse_poly(text: str) -> IntPoly:
     """Parse the restricted arithmetic grammar into a polynomial.
@@ -262,6 +268,10 @@ def parse_poly(text: str) -> IntPoly:
         state["i"] += 1
         return t
 
+    def check_degree(degree: int) -> None:
+        if degree > _MAX_DEGREE:
+            raise SequenceError(f"term {text!r} has degree above {_MAX_DEGREE}")
+
     def atom() -> list[int]:
         t = take()
         if t == "(":
@@ -283,6 +293,7 @@ def parse_poly(text: str) -> IntPoly:
             e = take()
             if not e.isdigit():
                 raise SequenceError(f"exponent must be a constant in {text!r}")
+            check_degree(max(int(e), (len(p) - 1) * int(e)))
             out = [1]
             for _ in range(int(e)):
                 out = _poly_mul(out, p)
@@ -294,6 +305,7 @@ def parse_poly(text: str) -> IntPoly:
         while peek() == "*":
             take()
             p = _poly_mul(p, atom())
+            check_degree(len(p) - 1)
         return p
 
     def expr() -> list[int]:
@@ -335,26 +347,24 @@ def partial_products(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
 
 
 class Period:
-    """The prefix and one period of a periodic or eventually periodic
-    sequence, with the exact tau data the criteria read.
+    """The head (the links before the first period) and one period of a
+    periodic or eventually periodic sequence, as (n, 2m) pairs, with the
+    exact tau data the criteria read.
 
-    `pairs` are the (n, 2m) of the period's links, `taus` their ratios
-    n/(2m) and `product` the product of those; the orbit slope prod 2m/n
-    of one period is its inverse.  `block_partials` are the running
-    products of `taus`, and `partials` the running products
-    prod_{i<=j} tau_i over the prefix and one period.
+    `taus` are the ratios n/(2m) of the period's `pairs` and `product`
+    the product of those; the orbit slope prod 2m/n of one period is its
+    inverse.  `block_partials` are the running products of `taus`, and
+    `partials` the running products prod_{i<=j} tau_i over the head and
+    one period.
     """
 
-    def __init__(self, prefix: tuple[NMLinkSpec, ...], links: tuple[NMLinkSpec, ...]):
-        self.prefix = prefix
-        self.links = links
-        self.pairs = tuple((spec.n, 2 * spec.m) for spec in links)
-        self.taus = tuple(Fraction(n, two_m) for n, two_m in self.pairs)
-        self.block_partials = partial_products(self.pairs)
+    def __init__(self, head: tuple[tuple[int, int], ...], pairs: tuple[tuple[int, int], ...]):
+        self.head = head
+        self.pairs = pairs
+        self.taus = tuple(Fraction(n, two_m) for n, two_m in pairs)
+        self.block_partials = partial_products(pairs)
         self.product = self.block_partials[-1]
-        self.partials = partial_products(
-            tuple((spec.n, 2 * spec.m) for spec in prefix) + self.pairs
-        )
+        self.partials = partial_products(head + pairs)
 
     @property
     def slope(self) -> Fraction:
@@ -372,26 +382,22 @@ class Period:
 
 
 class LinkSequence:
-    """Interface: link(i) for i >= 1; link_pairs(first, count), the
-    (n, 2m) of many links at once for the orbit steppers; and one_period,
-    the `Period` of the periodic variants (None otherwise)."""
+    """Interface: link_pairs(first, count), the (n, 2m) of links first,
+    ..., first + count - 1, cut where the links stop being known, is the
+    one link reader a variant implements; link(i) is its one-link case.
+    one_period is the `Period` of the periodic variants (None otherwise)."""
 
     one_period: Period | None = None
 
-    def link(self, i: int) -> NMLinkSpec:  # pragma: no cover
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:  # pragma: no cover
         raise NotImplementedError
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        """(n, 2m) of links first, ..., first + count - 1, cut where the
-        links stop being known (where `link` raises `HorizonError`)."""
-        out = []
-        for i in range(first, first + count):
-            try:
-                spec = self.link(i)
-            except HorizonError:
-                break
-            out.append((spec.n, 2 * spec.m))
-        return out
+    def link(self, i: int) -> NMLinkSpec:
+        pairs = self.link_pairs(i, 1)
+        if not pairs:
+            raise HorizonError(f"link {i} beyond the declared data")
+        n, two_m = pairs[0]
+        return NMLinkSpec(n, two_m // 2)
 
     def tau(self, i: int) -> Fraction:
         return tau(self.link(i))
@@ -409,6 +415,21 @@ def _coerce_specs(links: Sequence) -> tuple[NMLinkSpec, ...]:
     return tuple(out)
 
 
+def _table_pairs(
+    first: int, count: int, head: Sequence[NMLinkSpec], cycle: Sequence[NMLinkSpec]
+) -> list[tuple[int, int]]:
+    """(n, 2m) of links first, ..., first + count - 1 of the table that
+    reads `head` and then repeats `cycle`; it ends with `head` when
+    `cycle` is empty.  Only the links asked for are converted."""
+    if first < 1:
+        raise SequenceError("sequence indices start at 1")
+    lo, hi = first - 1, first - 1 + count
+    specs = list(head[lo:hi])
+    if cycle:
+        specs += (cycle[(j - len(head)) % len(cycle)] for j in range(max(lo, len(head)), hi))
+    return [(spec.n, 2 * spec.m) for spec in specs]
+
+
 @dataclass(frozen=True)
 class PeriodicSequence(LinkSequence):
     links: tuple[NMLinkSpec, ...]
@@ -424,12 +445,10 @@ class PeriodicSequence(LinkSequence):
 
     @cached_property
     def one_period(self) -> Period:
-        return Period((), self.links)
+        return Period((), tuple(self.link_pairs(1, self.period)))
 
-    def link(self, i: int) -> NMLinkSpec:
-        if i < 1:
-            raise SequenceError("sequence indices start at 1")
-        return self.links[(i - 1) % self.period]
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        return _table_pairs(first, count, (), self.links)
 
 
 @dataclass(frozen=True)
@@ -445,14 +464,12 @@ class EventuallyPeriodicSequence(LinkSequence):
 
     @cached_property
     def one_period(self) -> Period:
-        return Period(self.prefix, self.tail)
+        head = len(self.prefix)
+        pairs = tuple(self.link_pairs(1, head + len(self.tail)))
+        return Period(pairs[:head], pairs[head:])
 
-    def link(self, i: int) -> NMLinkSpec:
-        if i < 1:
-            raise SequenceError("sequence indices start at 1")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.tail[(i - len(self.prefix) - 1) % len(self.tail)]
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        return _table_pairs(first, count, self.prefix, self.tail)
 
 
 @dataclass(frozen=True)
@@ -530,13 +547,6 @@ class GeneratorSequence(LinkSequence):
             Branch("odd", self.odd_n, self.odd_m, 0, 2, 1),
         )
 
-    def link(self, i: int) -> NMLinkSpec:
-        if i < 1:
-            raise SequenceError("sequence indices start at 1")
-        b = self.branches[i % len(self.branches)]
-        s = b.param(i)
-        return NMLinkSpec(b.n(s), b.m(s))
-
     def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
         # each branch fills its own residue class of indices, straight from
         # its polynomials; construction already checked n, m >= 1
@@ -562,19 +572,11 @@ class ExplicitSequence(LinkSequence):
         if not self.links:
             raise SequenceError("explicit sequence needs at least one link")
 
-    def link(self, i: int) -> NMLinkSpec:
-        if i < 1:
-            raise SequenceError("sequence indices start at 1")
-        if i > len(self.links):
-            raise HorizonError(f"link {i} beyond the declared data")
-        return self.links[i - 1]
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        return _table_pairs(first, count, self.links, ())
 
 
 # -- gap sequences for mixed Bing-Whitehead decompositions --------------------
-
-
-_BING = NMLinkSpec(2, 1)
-_WHITEHEAD = NMLinkSpec(1, 1)
 
 
 @dataclass(frozen=True)
@@ -585,7 +587,7 @@ class GapSequence(LinkSequence):
     kind: 'periodic' (values cycle; `one_period` holds the links of one
     cycle), 'poly' (c(i) closed form), 'two_pow' (c(i) = a*2^i + p(i), p
     the zero polynomial when not given), or 'explicit' (finite prefix,
-    unknown tail).  `link(i)` walks the gaps exactly, so a gap verdict
+    unknown tail).  `link_pairs` walks the gaps exactly, so a gap verdict
     carries this sequence itself and its certificate is re-checked
     against it.
     """
@@ -656,12 +658,6 @@ class GapSequence(LinkSequence):
         """c_i / 2^i, the decisive series term."""
         return Fraction(self.gap(i), 2**i)
 
-    def link(self, i: int) -> NMLinkSpec:
-        pairs = self.link_pairs(i, 1)
-        if not pairs:
-            raise HorizonError(f"link {i} lies past the declared gaps")
-        return _BING if pairs[0] == (2, 2) else _WHITEHEAD
-
     def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
         # one walk over the gaps, each gap read once
         if first < 1:
@@ -686,10 +682,10 @@ class GapSequence(LinkSequence):
     def one_period(self) -> Period | None:
         if self.kind != "periodic":
             return None
-        links = []
+        pairs: list[tuple[int, int]] = []
         for c in self.values:
-            links += [_BING] * c + [_WHITEHEAD]
-        return Period((), tuple(links))
+            pairs += [(2, 2)] * c + [(1, 2)]
+        return Period((), tuple(pairs))
 
 
 # -- config parsing ------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .drf import chain_step, chain_steps
+from .drf import chain_orbit, chain_steps
 from .sequences import (
     Branch,
     GapSequence,
@@ -115,8 +115,8 @@ def periodic_product(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     outcome = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
     cert = {
         "kind": "periodic_product",
-        "period": len(period.links),
-        "prefix_skipped": len(period.prefix),
+        "period": len(period.pairs),
+        "prefix_skipped": len(period.head),
         "taus": [str(t) for t in period.taus],
         "product": str(period.product),
         "shrinks_iff": "product >= 1",
@@ -136,12 +136,12 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """
     period = seq.one_period
     if period is not None:
-        specs = period.prefix + period.links
-        if all(spec.n < 2 * spec.m for spec in specs):
+        pairs = period.head + period.pairs
+        if all(n < two_m for n, two_m in pairs):
             cert = {
                 "kind": "sher_armentrout",
                 "scope": "finite",
-                "checked": [[spec.n, spec.m] for spec in specs],
+                "checked": [[n, two_m // 2] for n, two_m in pairs],
                 "consequence": "every stage satisfies D(k) >= k for k >= 1",
             }
             return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
@@ -174,7 +174,7 @@ def _expansion_margin(b: Branch) -> IntPoly:
 def _periodic_exact_sum(period: Period) -> Fraction:
     """Exact value of sum_j prod_{i<=j} tau_i when the period product is
     < 1: the prefix terms, plus the first period's terms over 1 - product."""
-    head = len(period.prefix)
+    head = len(period.head)
     tail = sum(period.partials[head:], Fraction(0)) / (1 - period.product)
     return sum(period.partials[:head], Fraction(0)) + tail
 
@@ -352,7 +352,7 @@ def _bounded_widths(seq, convergent, divergent) -> Optional[ShrinkVerdict]:
 def _sup_widths(seq: LinkSequence) -> Optional[int]:
     period = seq.one_period
     if period is not None:
-        return max(spec.n for spec in period.prefix + period.links)
+        return max(n for n, _ in period.head + period.pairs)
     if isinstance(seq, GeneratorSequence) and all(b.n.is_constant() for b in seq.branches):
         return max(b.n(1) for b in seq.branches)
     return None
@@ -670,7 +670,7 @@ def _offset_sum(period: Period) -> Fraction:
 def _spec_check_bound(period: Period) -> int:
     """Finite verification range for the one-period composite."""
     a = period.slope
-    bound = (a.numerator + a.denominator) * len(period.links)
+    bound = (a.numerator + a.denominator) * len(period.pairs)
     return max(1, min(bound, 100_000))
 
 
@@ -683,7 +683,7 @@ def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
             raise VerdictConsistencyError(
                 f"slope {a} <= 1 but the period composite does not descend at {k}"
             )
-        trace = _trace_orbit(period.links, min(k_max, 8))
+        trace = _trace_orbit(period.pairs, min(k_max, 8))
         cert = {
             "kind": "orbit_periodic",
             "slope": str(a),
@@ -694,9 +694,7 @@ def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
         return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
     offsets = _offset_sum(period)
     k0 = int(offsets / (a - 1)) + 1
-    one_period = [k0]
-    for spec in period.links:
-        one_period.append(chain_step(spec, one_period[-1]))
+    one_period = chain_orbit(period.pairs, k0)
     if one_period[-1] < k0:
         raise VerdictConsistencyError(
             f"slope {a} > 1 but g({k0}) = {one_period[-1]} < {k0}"
@@ -708,21 +706,18 @@ def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
         "k0": k0,
         "period_trace_from_k0": one_period,
         "monotone_argument": _MONOTONE_ARGUMENT,
-        "start_index": len(period.prefix) + 1,
+        "start_index": len(period.head) + 1,
     }
     return ShrinkVerdict(DOES_NOT_SHRINK, "orbit_periodic", cert, seq)
 
 
-def _trace_orbit(links, k: int) -> list[int]:
+def _trace_orbit(pairs, k: int) -> list[int]:
+    """The orbit of k >= 1 over repeated periods, cut at 64 values or at
+    the end of the first period that ends at 0."""
     values = [k]
-    v = k
-    for _ in range(200):
-        for spec in links:
-            v = chain_step(spec, v)
-            values.append(v)
-        if v == 0:
-            break
-    return values[:64]
+    while len(values) < 64 and values[-1]:
+        values += chain_orbit(pairs[: 64 - len(values)], values[-1])[1:]
+    return values
 
 
 def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
@@ -856,9 +851,9 @@ def _verify(verdict: ShrinkVerdict) -> bool:
     seq = verdict.sequence
     period = seq.one_period
     if kind == "periodic_product":
-        if period is None or len(period.links) != cert["period"]:
+        if period is None or len(period.pairs) != cert["period"]:
             return False
-        if cert["prefix_skipped"] != len(period.prefix) or cert["shrinks_iff"] != "product >= 1":
+        if cert["prefix_skipped"] != len(period.head) or cert["shrinks_iff"] != "product >= 1":
             return False
         if [str(t) for t in period.taus] != cert["taus"]:
             return False
@@ -872,10 +867,10 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         if cert["scope"] == "finite":
             if period is None:
                 return False
-            specs = period.prefix + period.links
-            if [[s.n, s.m] for s in specs] != cert["checked"]:
+            pairs = period.head + period.pairs
+            if [[n, two_m // 2] for n, two_m in pairs] != cert["checked"]:
                 return False
-            return all(s.n < 2 * s.m for s in specs)
+            return all(n < two_m for n, two_m in pairs)
         if cert["scope"] == "symbolic":
             if not isinstance(seq, GeneratorSequence):
                 return False
@@ -1021,7 +1016,7 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
             and 1 <= upto <= _DESCENT_CHECK_MAX
             and cert["descent"] == _descent_text(upto, a)
             and period.ascent(upto) is None
-            and _replay_trace(period.links, cert["sample_orbit"])
+            and _replay_trace(period.pairs, cert["sample_orbit"])
         )
     if verdict.outcome == DOES_NOT_SHRINK:
         k0, trace = cert["k0"], cert["period_trace_from_k0"]
@@ -1029,33 +1024,23 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
             a > 1
             and cert["offset_sum"] == str(_offset_sum(period))
             and cert["monotone_argument"] == _MONOTONE_ARGUMENT
-            and cert["start_index"] == len(period.prefix) + 1
+            and cert["start_index"] == len(period.head) + 1
             and k0 >= 1
             and period.composite(k0) >= k0
-            and _replay_trace(period.links, trace, single_period=True)
+            and _replay_trace(period.pairs, trace, single_period=True)
             and trace[0] == k0
         )
     return False
 
 
-def _replay_trace(links, trace, single_period=False) -> bool:
+def _replay_trace(pairs, trace, single_period=False) -> bool:
     """True when the nonempty `trace` is the orbit of its first value over
-    `links`, repeated (one pass only when `single_period`)."""
-    if not trace:
+    the links of `pairs`, repeated (one pass only when `single_period`)."""
+    # disc replicating functions are defined on k >= 0
+    if not trace or trace[0] < 0:
         return False
-    v = trace[0]
-    if v < 0:  # disc replicating functions are defined on k >= 0
-        return False
-    pos = 1
-    steps = links if single_period else links * ((len(trace) // len(links)) + 1)
-    for spec in steps:
-        if pos >= len(trace):
-            break
-        v = chain_step(spec, v)
-        if trace[pos] != v:
-            return False
-        pos += 1
-    return pos == len(trace)
+    steps = pairs if single_period else pairs * (len(trace) // len(pairs) + 1)
+    return chain_orbit(steps[: len(trace) - 1], trace[0]) == trace
 
 
 def _verify_telescoping(verdict: ShrinkVerdict) -> bool:

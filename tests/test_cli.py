@@ -335,6 +335,18 @@ def test_shrink_decide_mistyped_field_exits_three(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
 
 
+def test_shrink_decide_term_of_huge_degree_exits_three(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "generator", "n": "(i+1)^100000", "m": "1"}), encoding="utf-8"
+    )
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'(i+1)^100000' has degree above 64" in err
+
+
 def test_milnor_without_index_exits_three(capsys):
     code, out, err = run(capsys, "milnor", "--builtin", "borromean")
     assert code == 3

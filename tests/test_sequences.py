@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,12 +71,29 @@ def test_parse_poly_matches_sympy_expansion(case):
     coeffs = [int(c) for c in reversed(expanded.all_coeffs())]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    assert parse_poly(text).coeffs == tuple(coeffs)
+    try:
+        parsed = parse_poly(text)
+    except SequenceError as e:
+        # with positive constants, + for -, and no ^0, no term cancels or
+        # vanishes: the degree bounds that of every part of the text
+        positive = re.sub(r"(?<!\^)\d+", "1", text).replace("-", "+").replace("^0", "^1")
+        degree = sympy.Poly(sympy.sympify(positive.replace("^", "**"), locals={var: x}), x)
+        assert "degree above 64" in str(e) and degree.degree() > 64
+        return
+    assert parsed.coeffs == tuple(coeffs)
 
 
 def test_parse_poly_rejects_garbage():
     for bad in ["", "s + t", "s^", "2**s", "s^-1", "(s+1", "s)"]:
         with pytest.raises(SequenceError):
+            parse_poly(bad)
+
+
+def test_parse_poly_bounds_the_degree():
+    assert parse_poly("(i+1)^64").degree == 64
+    assert parse_poly("i^30*i^30*(i^2)^2").degree == 64
+    for bad in ["(i+1)^65", "2^65", "(i^2)^33", "i^30*i^30*i^5", "(i*i^64)^0", "(i+1)^100000"]:
+        with pytest.raises(SequenceError, match=re.escape(f"term {bad!r} has degree above 64")):
             parse_poly(bad)
 
 
@@ -388,14 +406,14 @@ def test_gap_sequence_link_matches_the_gaps_written_out(case, picks):
             assert (gaps.link(i).n, gaps.link(i).m) == written[i - 1]
         else:
             assert kind == "explicit"
-            with pytest.raises(HorizonError):
+            with pytest.raises(HorizonError, match="beyond the declared data"):
                 gaps.link(i)
     if kind == "periodic":
-        period = []
+        period = []  # (n, 2m) pairs
         for c in data:
-            period += [(2, 1)] * c + [(1, 1)]
-        assert [(s.n, s.m) for s in gaps.one_period.links] == period
-        assert gaps.one_period.prefix == ()
+            period += [(2, 2)] * c + [(1, 2)]
+        assert gaps.one_period.pairs == tuple(period)
+        assert gaps.one_period.head == ()
     else:
         assert gaps.one_period is None
 
@@ -482,8 +500,9 @@ def test_period_matches_a_link_by_link_oracle(case):
 
     period = seq.one_period
     assert period is seq.one_period
-    assert list(period.prefix) == specs[:prefix_len]
-    assert list(period.links) == specs[prefix_len:]
+    written = [(s.n, 2 * s.m) for s in specs]
+    assert list(period.head) == written[:prefix_len]
+    assert list(period.pairs) == written[prefix_len:]
     assert list(period.taus) == taus[prefix_len:]
     assert period.product == product
     assert period.slope == slope
@@ -539,17 +558,48 @@ _any_sequence = st.one_of(
 )
 
 
+def _written_links(seq, upto):
+    """(n, m) of links 1..upto, written out from the variant's own data;
+    explicit data may end first."""
+    if isinstance(seq, GeneratorSequence):
+        if not seq.two_case:
+            return [(seq.n_poly(i), seq.m_poly(i)) for i in range(1, upto + 1)]
+        # i = 2s is even, i = 2s + 1 odd
+        return [
+            (seq.even_n(i // 2), seq.even_m(i // 2))
+            if i % 2 == 0
+            else (seq.odd_n(i // 2), seq.odd_m(i // 2))
+            for i in range(1, upto + 1)
+        ]
+    if isinstance(seq, GapSequence):
+        # gap g: c_g (2,1) links, then one (1,1) link
+        written = []
+        g = 1
+        while len(written) < upto and not (seq.kind == "explicit" and g > len(seq.values)):
+            written += [(2, 1)] * seq.gap(g) + [(1, 1)]
+            g += 1
+        return written[:upto]
+    if isinstance(seq, PeriodicSequence):
+        specs = [seq.links[(i - 1) % len(seq.links)] for i in range(1, upto + 1)]
+    elif isinstance(seq, EventuallyPeriodicSequence):
+        specs = (list(seq.prefix) + [seq.tail[j % len(seq.tail)] for j in range(upto)])[:upto]
+    else:
+        specs = seq.links[:upto]
+    return [(spec.n, spec.m) for spec in specs]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seq=_any_sequence, first=st.integers(1, 40), count=st.integers(0, 40))
 def test_link_pairs_match_link(seq, first, count):
-    expected = []
-    for i in range(first, first + count):
-        try:
-            spec = seq.link(i)
-        except HorizonError:  # explicit data end here
-            break
-        expected.append((spec.n, 2 * spec.m))
+    written = _written_links(seq, first + count - 1)
+    expected = [(n, 2 * m) for n, m in written[first - 1 :]]
     assert seq.link_pairs(first, count) == expected
+    for i in range(first, first + count):
+        if i <= len(written):
+            assert (seq.link(i).n, seq.link(i).m) == written[i - 1]
+        else:  # explicit data end here
+            with pytest.raises(HorizonError, match=f"link {i} beyond the declared data"):
+                seq.link(i)
 
 
 @given(
@@ -567,8 +617,14 @@ def test_poly_values_match_evaluation(coeffs, start, count):
     [
         GeneratorSequence(n_poly=parse_poly("i"), m_poly=parse_poly("1")),
         ExplicitSequence(((2, 1),)),
+        PeriodicSequence(((2, 1),)),
+        EventuallyPeriodicSequence(((1, 1),), ((2, 1),)),
+        GapSequence.periodic([1]),
+        GapSequence.explicit([2]),
     ],
 )
 def test_link_pairs_reject_index_zero(seq):
     with pytest.raises(SequenceError):
         seq.link_pairs(0, 3)
+    with pytest.raises(SequenceError):
+        seq.link(0)

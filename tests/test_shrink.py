@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import toroshrink
-from toroshrink.linkio import NMLinkSpec
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,
@@ -18,7 +17,6 @@ from toroshrink.sequences import (
     GeneratorSequence,
     HorizonError,
     IntPoly,
-    LinkSequence,
     PeriodicSequence,
     parse_poly,
 )
@@ -167,16 +165,12 @@ def _fraction_window_probe(seq):
 
 
 class _CountingGenerator(GeneratorSequence):
-    """A generator that records every index its links are read at, one by
-    one or in bulk."""
+    """A generator that records every index its links are read at; `link`
+    reads through `link_pairs`."""
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "reads", [])
-
-    def link(self, i):
-        self.reads.append(i)
-        return super().link(i)
 
     def link_pairs(self, first, count):
         self.reads.extend(range(first, first + count))
@@ -857,6 +851,8 @@ def test_verify_rejects_tampered_telescoping_identity():
         ("checked_upto", 0),
         ("descent", "bogus"),
         ("sample_orbit", []),
+        # every DRF sends -3 to 0, but no orbit starts below 0
+        ("sample_orbit", [-3, 0, 0]),
     ],
 )
 def test_verify_rejects_forged_periodic_descent_field(field, value):
@@ -875,6 +871,8 @@ def test_verify_rejects_forged_periodic_descent_field(field, value):
         {"period_trace_from_k0": []},
         # the orbit of 0 stays at 0 >= 0, which proves nothing
         {"k0": 0, "period_trace_from_k0": [0, 0]},
+        # the orbit of k0 = 2, but over two periods
+        {"period_trace_from_k0": [2, 3, 5]},
     ],
 )
 def test_verify_rejects_forged_periodic_ascent_field(updates):
@@ -885,14 +883,14 @@ def test_verify_rejects_forged_periodic_ascent_field(updates):
 
 
 class _OneLinkOff(GeneratorSequence):
-    """A generator whose link `off` winds twice as often, read one link at
-    a time."""
+    """A generator whose link `off` winds twice as often."""
 
-    link_pairs = LinkSequence.link_pairs
-
-    def link(self, i):
-        spec = super().link(i)
-        return NMLinkSpec(spec.n, 2 * spec.m) if i == self.off else spec
+    def link_pairs(self, first, count):
+        pairs = super().link_pairs(first, count)
+        if first <= self.off < first + len(pairs):
+            n, two_m = pairs[self.off - first]
+            pairs[self.off - first] = (n, 2 * two_m)
+        return pairs
 
 
 def test_telescoping_check_reads_every_pair():
