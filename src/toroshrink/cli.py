@@ -4,15 +4,12 @@ Subcommands: link info, milnor, drf eval, drf orbit, shrink decide,
 report.  `shrink decide` exits 0 for a shrinkable decomposition, 1 for a
 non-shrinkable one and 2 for unknown; usage, input and any other errors
 exit 3 with one line on stderr.
-The environment variable TOROSHRINK_HORIZON overrides the default orbit
-horizons, either as a single step bound or as "k_max,m_max,p_max".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -192,21 +189,14 @@ def cmd_drf_orbit(args) -> int:
 
 def _horizons(args) -> tuple[int, int, int]:
     horizons = (DEFAULT_K_MAX, DEFAULT_M_MAX, DEFAULT_P_MAX)
-    # the environment first, so that --horizon overrides it
-    for name, text in (
-        ("TOROSHRINK_HORIZON", os.environ.get("TOROSHRINK_HORIZON")),
-        ("--horizon", args.horizon),
-    ):
-        if not text:
-            continue
-        parts = tuple(int(tok) for tok in text.replace(",", " ").split())
-        if len(parts) == 1:
-            horizons = horizons[:2] + parts
-        elif len(parts) == 3:
-            horizons = parts
-        else:
-            raise ValueError(f"{name} must be P or K,M,P")
-    return horizons
+    if not args.horizon:
+        return horizons
+    parts = tuple(int(tok) for tok in args.horizon.replace(",", " ").split())
+    if len(parts) == 1:
+        return horizons[:2] + parts
+    if len(parts) == 3:
+        return parts
+    raise ValueError("--horizon must be P or K,M,P")
 
 
 def cmd_shrink(args) -> int:

@@ -9,9 +9,9 @@ an even/odd split), and explicit finite data with an unknown tail.
 
 The polynomial grammar is deliberately small: integer constants, one
 variable, +, -, *, ^, and degree at most 64.  Positivity of a
-polynomial from an index onward is decidable exactly (prove it from a
-nonnegative forward difference, or evaluate up to a coefficient bound
-past which the leading term dominates), which keeps every certificate
+polynomial from an index onward is decidable exactly: `IntPoly.sign_changes`
+lists every integer where the sign flips, by bisection between the sign
+changes of its forward difference, which keeps every certificate
 symbolic rather than numeric sampling.
 """
 
@@ -94,10 +94,6 @@ class IntPoly:
     def const(cls, c: int) -> "IntPoly":
         return cls((c,))
 
-    @classmethod
-    def var(cls) -> "IntPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
@@ -146,50 +142,59 @@ class IntPoly:
         return IntPoly([c * x for x in self.coeffs])
 
     def shifted_arg(self, delta: int) -> "IntPoly":
-        """p(i + delta) as a polynomial in i."""
-        out: list[int] = []
-        for c in reversed(self.coeffs):  # Horner in i + delta
-            out = _poly_add(_poly_mul(out, (delta, 1)), (c,))
+        """p(i + delta) as a polynomial in i, by a Taylor shift in place: pass
+        k divides by (i + delta) with Horner's rule, leaving coefficient k of
+        the result at position k."""
+        out = list(self.coeffs)
+        for k in range(len(out) - 1):
+            for j in range(len(out) - 2, k - 1, -1):
+                out[j] += delta * out[j + 1]
         return IntPoly(out)
+
+    def sign_changes(self, i_min: int) -> list[int]:
+        """The integers i > i_min where p(i) < 0 and p(i-1) < 0 differ, in
+        order; zero counts as nonnegative.
+
+        Between two sign changes of the forward difference p(i+1) - p(i)
+        (this method, one degree lower) p is monotone, so it changes sign
+        there at most once and bisection finds where.  Past the last of them
+        p moves toward the sign of its lead, so a step doubled until p has
+        that sign closes the last run.  The cost grows with the degree and
+        the bit length of the coefficients, not with their size.
+        """
+        if self.degree < 1:
+            return []
+        ends = (self.shifted_arg(1) - self).sign_changes(i_min)
+        last = ends[-1] if ends else i_min
+        step = 1
+        while (self(last + step) < 0) != (self.coeffs[-1] < 0):
+            step *= 2
+        out = []
+        for lo, hi in zip([i_min, *ends], [*ends, last + step]):
+            below = self(hi) < 0
+            if (self(lo) < 0) == below:
+                continue
+            while hi - lo > 1:  # p(lo) < 0 and p(hi) < 0 differ
+                mid = (lo + hi) // 2
+                if (self(mid) < 0) == below:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(hi)
+        return out
 
     def ge_from(self, bound: int, i_min: int) -> tuple[bool, int | None]:
         """Decide p(i) >= bound for every integer i >= i_min, exactly.
 
-        Returns (True, None) or (False, first violating index >= i_min).
-        Write p for the polynomial minus the bound.  Beyond the dominance
-        bound B = 1 + ceil((sum of |lower coefficients| + 1) / |lead|) the
-        leading term decides the sign, so scanning i_min..max(i_min, B)
-        is a complete decision procedure.  When that scan would take more
-        than (degree + 1)^2 evaluations and lead > 0, a proof is tried
-        first: if p(i_min) >= 0 and the forward difference p(i+1) - p(i)
-        is >= 0 for every i >= i_min (decided by `ge_from` itself, one
-        degree lower), then p(i) >= p(i_min) >= 0 from i_min on.  When
-        that proof fails, the scan runs as it would without it.
+        Returns (True, None) or (False, first violating index >= i_min):
+        with q = p - bound, that is i_min when q(i_min) < 0, and otherwise
+        the first of `q.sign_changes(i_min)`, where q turns negative.
         """
         p = self - IntPoly.const(bound)
-        if p.is_zero():
-            return (True, None)
-        if p.is_constant():
-            return (p.coeffs[0] >= 0, None if p.coeffs[0] >= 0 else i_min)
-        lead = p.coeffs[-1]
-        lower = sum(abs(c) for c in p.coeffs[:-1])
-        dominance = 1 + (lower + abs(lead)) // abs(lead)
-        limit = max(i_min, dominance)
-        if lead > 0 and limit - i_min + 1 > (p.degree + 1) ** 2:
-            if p(i_min) < 0:
-                return (False, i_min)
-            if (p.shifted_arg(1) - p).ge_from(0, i_min)[0]:
-                return (True, None)
-        for i in range(i_min, limit + 1):
-            if p(i) < 0:
-                return (False, i)
-        if lead > 0:
-            return (True, None)
-        # negative leading term: a violation is guaranteed past the bound
-        i = limit + 1
-        while p(i) >= 0:  # pragma: no cover - dominance bound makes this rare
-            i += 1
-        return (False, i)
+        if p(i_min) < 0:
+            return (False, i_min)
+        changes = p.sign_changes(i_min)
+        return (False, changes[0]) if changes else (True, None)
 
     def divide_exact(self, other: "IntPoly") -> "IntPoly | None":
         """self / other when the quotient is a polynomial with integer

@@ -249,6 +249,8 @@ def _validate_geometric(seq: LinkSequence, r: Fraction, i0: int) -> None:
     """Raise unless seq is a generator with tau_i <= r < 1 for all i >= i0."""
     if r >= 1 or r <= 0:
         raise CertificateError("geometric ratio must satisfy 0 < r < 1")
+    if i0 < 1:
+        raise CertificateError("geometric ratio needs i0 >= 1")
     if not isinstance(seq, GeneratorSequence):
         raise CertificateError("geometric ratios are certified for generators only")
     # tau_i <= r  <=>  den(r) * n_i <= 2 num(r) * m_i, branchwise
@@ -447,15 +449,15 @@ def _ratio_margin(poly: IntPoly, r: Fraction) -> IntPoly:
 
 
 def _ratio_test_start(poly: IntPoly, r: Fraction) -> int:
-    """Smallest i0 (by complete search) with c(i+1)/2 <= r * c(i) for all i >= i0."""
-    margin = _ratio_margin(poly, r)
-    i0 = 1
-    for _ in range(10_000):
-        ok, witness = margin.ge_from(0, i0)
-        if ok:
-            return i0
-        i0 = witness + 1
-    raise CertificateError("ratio test start not found")  # pragma: no cover
+    """Smallest i0 >= 1 with c(i+1)/2 <= r * c(i) for all i >= i0.
+
+    The margin's lead is (2 num(r) - den(r)) lead(c): for the caller's
+    r = 3/4 that is 2 lead(c) > 0, since a gap term >= 0 has a positive
+    lead.  So the margin's last sign change goes upward, and the margin is
+    >= 0 from there on, or from 1 when it has none.
+    """
+    changes = _ratio_margin(poly, r).sign_changes(1)
+    return changes[-1] if changes else 1
 
 
 def _ratio_test_bound(gaps: GapSequence, r: Fraction, i0: int) -> Fraction:

@@ -243,15 +243,17 @@ def test_drf_orbit_past_explicit_data_exits_three(tmp_path, capsys):
     assert "link 3 beyond the declared data" in err
 
 
-def test_horizon_env_override(tmp_path, capsys, monkeypatch):
+def test_horizon_environment_is_ignored(tmp_path, capsys, monkeypatch):
+    # horizons come from --horizon alone, so a malformed variable is not read
     path = tmp_path / "seq.json"
     path.write_text(
         json.dumps({"variant": "periodic", "links": [{"nm": [2, 1]}]}),
         encoding="utf-8",
     )
-    monkeypatch.setenv("TOROSHRINK_HORIZON", "4,4,50")
-    code, out, _ = run(capsys, "shrink", "decide", "--config", str(path))
+    monkeypatch.setenv("TOROSHRINK_HORIZON", "1,2")
+    code, _, err = run(capsys, "shrink", "decide", "--config", str(path))
     assert code == 0
+    assert err == ""
 
 
 def test_report_single_check(capsys):
@@ -388,31 +390,28 @@ def test_milnor_link_alias_is_gone(capsys):
     assert "--link" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("env, flag", [("1,2", None), (None, "1,2")])
-def test_bad_horizon_exits_three(tmp_path, capsys, monkeypatch, env, flag):
+def test_bad_horizon_exits_three(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(
         json.dumps({"variant": "periodic", "links": [{"nm": [2, 1]}]}),
         encoding="utf-8",
     )
-    if env:
-        monkeypatch.setenv("TOROSHRINK_HORIZON", env)
-    argv = ["shrink", "decide", "--config", str(path)]
-    if flag:
-        argv += ["--horizon", flag]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path), "--horizon", "1,2")
     assert code == 3
     assert out == ""
-    assert "must be P or K,M,P" in err
+    assert "--horizon must be P or K,M,P" in err
 
 
-def test_horizon_flag_overrides_environment_step_bound(monkeypatch):
-    # K,M come from the environment, P from the flag
+def test_horizon_flag_sets_the_horizons():
+    # a single value is the step bound P; K,M keep their defaults
     from toroshrink.cli import _horizons, build_parser
 
-    monkeypatch.setenv("TOROSHRINK_HORIZON", "4,5,6")
-    args = build_parser().parse_args(["shrink", "decide", "--config", "x", "--horizon", "9"])
-    assert _horizons(args) == (4, 5, 9)
+    def horizons(flag):
+        argv = ["shrink", "decide", "--config", "x", "--horizon", flag]
+        return _horizons(build_parser().parse_args(argv))
+
+    assert horizons("9") == (64, 16, 9)
+    assert horizons("4,5,6") == (4, 5, 6)
 
 
 def test_unexpected_error_exits_three(tmp_path, capsys):

@@ -159,8 +159,78 @@ def test_ge_from_constant():
     assert IntPoly.const(0).ge_from(1, 5)[0] is False
 
 
+def _flips(p: IntPoly, candidates, i_min: int) -> list[int]:
+    """The candidates i > i_min where p(i) < 0 and p(i-1) < 0 differ."""
+    return sorted(c for c in set(candidates) if c > i_min and (p(c) < 0) != (p(c - 1) < 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=2, max_size=5).filter(
+        lambda cs: cs[-1] != 0
+    ),
+    i_min=st.integers(-60, 60),
+)
+def test_ge_from_matches_sympy_real_roots(coeffs, i_min):
+    # p < 0 turns on or off at i only if a real root r lies in [i-1, i],
+    # so i is floor(r) + 1 or ceil(r): the only integers worth evaluating
+    import sympy
+
+    p = IntPoly(tuple(coeffs))
+    x = sympy.Symbol("x")
+    candidates = [i_min]
+    for r in sympy.Poly(coeffs[::-1], x).real_roots():
+        candidates += [int(sympy.floor(r)) + 1, int(sympy.ceiling(r))]
+    assert p.sign_changes(i_min) == _flips(p, candidates, i_min)
+    violations = sorted(c for c in candidates if c >= i_min and p(c) < 0)
+    assert p.ge_from(0, i_min) == ((False, violations[0]) if violations else (True, None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lower=st.lists(st.integers(-20, 20), max_size=4),
+    lead=st.integers(-3, 3).filter(bool),
+    i_min=st.integers(-30, 30),
+)
+def test_sign_changes_lists_the_flips_of_a_scan(lower, lead, i_min):
+    # every real root has |r| < 1 + 20/|lead| <= 21, so no flip lies past 22
+    p = IntPoly((*lower, lead))
+    assert p.sign_changes(i_min) == _flips(p, range(i_min + 1, 23), i_min)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        "i^2 - 2000*i + 1000001",  # (i - 10^3)^2 + 1
+        "i^2 - 6000*i + 9000001",  # (i - 3*10^3)^2 + 1
+        "i^2 - 20000*i + 100000001",  # (i - 10^4)^2 + 1
+        "i + 10^9",
+        "(i - 1000)^64 + 1",
+    ],
+)
+def test_large_coefficients_build_without_a_scan(n):
+    # a plain scan up to the coefficient bound would take seconds to hours on each
+    seq = GeneratorSequence(n_poly=parse_poly(n), m_poly=IntPoly.const(1))
+    assert seq.link(1).n == parse_poly(n)(1)
+
+
+@pytest.mark.parametrize("c", [10**3, 3 * 10**3, 10**4])
+def test_sign_changes_find_a_one_point_dip(c):
+    p = parse_poly(f"(i - {c})^2 - 1")  # negative at i = c alone
+    assert p.sign_changes(1) == [c, c + 1]
+    assert p.ge_from(0, 1) == (False, c)
+    assert p.ge_from(0, c + 1) == (True, None)
+
+
+def test_sign_changes_of_a_degree_64_term():
+    # (i + 1)^64 < 10^100 exactly for |i + 1| <= 36
+    p = parse_poly("(i + 1)^64") - IntPoly.const(10**100)
+    assert p.sign_changes(-100) == [-37, 36]
+    assert p.ge_from(0, -100) == (False, -37)
+    assert p.ge_from(0, 36) == (True, None)
+
+
 def test_divide_exact():
-    s = IntPoly.var()
     p = parse_poly("2*s^2 + 2*s")
     assert p.divide_exact(parse_poly("2*s")) == parse_poly("s + 1")
     assert p.divide_exact(parse_poly("3*s")) is None

@@ -935,6 +935,15 @@ def test_verify_rejects_blockwise_geometric_ratio_on_a_generator():
     assert verify_certificate(_tamper(v, block=2)) is False
 
 
+@pytest.mark.parametrize("i0", [0, -3])
+def test_verify_rejects_geometric_ratio_below_index_one(i0):
+    # links start at index 1, so an i0 below it claims a bound on no link
+    v = convergent_tau_series(GeneratorSequence(n_poly=parse_poly("i"), m_poly=parse_poly("i^2")))
+    assert (v.certificate["method"], v.certificate["i0"]) == ("geometric_ratio", 1)
+    assert verify_certificate(v) is True
+    assert verify_certificate(_tamper(v, i0=i0)) is False
+
+
 @pytest.mark.parametrize(
     "prefix, tail, cert",
     [
