@@ -20,7 +20,6 @@ from .magnus import MagnusSeries, expand, format_series, lcs_depth
 from .linkio import (
     CoverDerivation,
     LinkPresentation,
-    NMLinkSpec,
     PDCode,
     builtin,
     first_homology,
@@ -30,15 +29,17 @@ from .linkio import (
     pd_fixture,
     wirtinger,
 )
-from .milnor import MilnorRecord, delta, mu, mubar, reduce_longitude
-from .drf import (
-    ExactChainFn,
+from .milnor import (
     MilnorLowerFn,
-    compose,
+    MilnorRecord,
+    delta,
     lower_milnor_drf,
-    nm_drf,
+    mu,
+    mubar,
     nm_lower_drf,
+    reduce_longitude,
 )
+from .drf import ExactChainFn, NMLinkSpec, compose, nm_drf
 from .sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,

@@ -36,7 +36,10 @@ Builtin families
 ``hopf`` and ``whitehead`` are diagrams; ``borromean`` and the chain
 family ``nm(n,m)`` are presentations (meridians plus longitude words).
 ``bing`` is an alias for ``nm(2,1)``.  PD fixtures for the whitehead and
-borromean links back the presentations as cross-check data.
+borromean links back the presentations as cross-check data.  The chain
+link itself, `NMLinkSpec` and its ``nm(n,m)`` spelling, is defined in
+`drf`; this module builds its presentation.  `CoverDerivation` declares
+the derivations behind the lower bounds in `milnor`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .freegroup import Word, commutator
+from .drf import _NM_SPEC, NMLinkSpec
+from .freegroup import Word, commutator, parse_word
 
 __all__ = [
     "PDError",
@@ -56,7 +60,6 @@ __all__ = [
     "wirtinger",
     "longitudes",
     "LinkPresentation",
-    "NMLinkSpec",
     "CoverDerivation",
     "LinkData",
     "builtin",
@@ -611,26 +614,6 @@ LinkData = Union[PDCode, LinkPresentation]
 
 
 @dataclass(frozen=True)
-class NMLinkSpec:
-    """Closed chain of n unknots winding m times around a solid torus,
-    together with the torus meridian as component 0."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("chain length n and winding number m must be >= 1")
-
-    @property
-    def n_components(self) -> int:
-        return self.n + 1
-
-    def __str__(self):
-        return f"nm({self.n},{self.m})"
-
-
-@dataclass(frozen=True)
 class CoverDerivation:
     """Declared branched-cover / sublink / blow-down derivation data.
 
@@ -753,25 +736,21 @@ def nm_presentation(spec: NMLinkSpec) -> LinkPresentation:
     n, m = spec.n, spec.m
     rank = n + 1
     x = [Word(rank, [(i, 1)]) for i in range(rank)]
-
-    def pw(i, e):
-        return x[i] ** e
-
     longs: dict[int, Word] = {}
     if n == 1:
-        longs[0] = _stretch_axis_power(_parse_in_rank(_WH_L0_TEXT, 2), m)
-        longs[1] = _stretch_axis_power(_parse_in_rank(_WH_L1_TEXT, 2), m)
+        longs[0] = _stretch_axis_power(parse_word(_WH_L0_TEXT, 2), m)
+        longs[1] = _stretch_axis_power(parse_word(_WH_L1_TEXT, 2), m)
         valid = 4 if m == 1 else 2
     elif n == 2:
-        longs[0] = _parse_in_rank(_BING_L0_TEXT, 3)
-        longs[1] = _stretch_axis_power(_parse_in_rank(_BING_L1_TEXT, 3), m)
-        longs[2] = _stretch_axis_power(_parse_in_rank(_BING_L2_TEXT, 3), m)
+        longs[0] = parse_word(_BING_L0_TEXT, 3)
+        longs[1] = _stretch_axis_power(parse_word(_BING_L1_TEXT, 3), m)
+        longs[2] = _stretch_axis_power(parse_word(_BING_L2_TEXT, 3), m)
         valid = 6 if m == 1 else 2
     else:
         for i in range(2, n):
             longs[i] = x[i - 1] * x[i + 1]
-        longs[1] = (pw(0, m) * x[n] * pw(0, -m)) * x[2]
-        longs[n] = x[n - 1] * (pw(0, -m) * x[1] * pw(0, m))
+        longs[1] = (x[0] ** m * x[n] * x[0] ** -m) * x[2]
+        longs[n] = x[n - 1] * (x[0] ** -m * x[1] * x[0] ** m)
         w0 = Word(rank)
         for s in range(1, m + 1):
             a = 1 + ((s - 1) % n)
@@ -785,12 +764,6 @@ def nm_presentation(spec: NMLinkSpec) -> LinkPresentation:
         valid_class=valid,
         name=str(spec),
     )
-
-
-def _parse_in_rank(text: str, rank: int) -> Word:
-    from .freegroup import parse_word
-
-    return parse_word(text, rank)
 
 
 def _stretch_axis_power(w: Word, m: int) -> Word:
@@ -813,18 +786,15 @@ def borromean_presentation() -> LinkPresentation:
     """
     rank = 4
     longs = {
-        1: _parse_in_rank("x1 x2^-1 x1^-1 x3^-1 x1 x2 x1^-1 x3", rank),
-        2: _parse_in_rank(
+        1: parse_word("x1 x2^-1 x1^-1 x3^-1 x1 x2 x1^-1 x3", rank),
+        2: parse_word(
             "x2^-1 x1^-1 x3 x1 x2 x1 x2^-1 x1^-1 x3^-1 x1 x2 x1^-1", rank
         ),
-        3: _parse_in_rank("x1 x2 x1^-1 x2^-1", rank),
+        3: parse_word("x1 x2 x1^-1 x2^-1", rank),
     }
     return LinkPresentation(
         labels=(1, 2, 3), longitude=longs, valid_class=6, name="borromean"
     )
-
-
-_NM_SPEC = re.compile(r"nm\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
 def builtin(name: str) -> LinkData:

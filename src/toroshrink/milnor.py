@@ -22,6 +22,11 @@ the one-deletion subsequences of I, and Delta is 0 at length 2.  That
 recursion reads mu and Delta from bounded memos keyed by (link, index),
 which all calls share.  The residue mubar = mu mod Delta is normalized to
 [0, Delta).
+
+The invariants certify lower disc replicating functions: a derivation
+(:class:`~toroshrink.linkio.CoverDerivation`) whose witness has length 2
+bounds by |value| * k, a longer one by the chain DRF of a
+(kept + blowdowns, d) link, and the bound is the maximum over them.
 """
 
 from __future__ import annotations
@@ -29,9 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import Sequence
 
+from .drf import NMLinkSpec, chain_steps
 from .freegroup import Word
-from .linkio import LinkData, LinkPresentation, PDCode, WirtingerPresentation, wirtinger
+from .linkio import (
+    CoverDerivation,
+    LinkData,
+    LinkPresentation,
+    PDCode,
+    WirtingerPresentation,
+    bing_axis_pd,
+    pd_fixture,
+    wirtinger,
+)
 # expand is not called here; it stays importable from this module because
 # perfbench/tracer.py wraps it in every toroshrink namespace that holds it
 from .magnus import expand, lcs_depth, word_coefficient  # noqa: F401
@@ -46,6 +62,10 @@ __all__ = [
     "mubar",
     "all_multi_indices",
     "MAX_INDEX_LENGTH",
+    "WitnessError",
+    "MilnorLowerFn",
+    "lower_milnor_drf",
+    "nm_lower_drf",
 ]
 
 MAX_INDEX_LENGTH = 8
@@ -248,3 +268,94 @@ def all_multi_indices(labels: tuple[int, ...], max_length: int):
         raise MilnorError(f"length bound {max_length} exceeds {MAX_INDEX_LENGTH}")
     for r in range(2, max_length + 1):
         yield from product(sorted(labels), repeat=r)
+
+
+# -- lower disc replicating functions ------------------------------------------
+
+
+class WitnessError(ValueError):
+    """A declared nonzero witness invariant failed verification."""
+
+
+@dataclass(frozen=True)
+class MilnorLowerFn:
+    """Lower disc replicating function from declared derivations."""
+
+    derivations: tuple[CoverDerivation, ...]
+    records: tuple[MilnorRecord | None, ...] = ()
+
+    def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("interlacing count must be nonnegative")
+        return max((self.case_value(d, k) for d in self.derivations), default=0)
+
+    @staticmethod
+    def case_value(derivation: CoverDerivation, k: int) -> int:
+        if k == 0 or not derivation.claims_nonzero:
+            return 0
+        if len(derivation.witness_index) == 2:
+            return abs(derivation.witness_value) * k
+        n = derivation.kept_n + derivation.blowdowns
+        return chain_steps(((n, 2 * derivation.d),), (k,))[0]
+
+
+def lower_milnor_drf(derivations: Sequence[CoverDerivation]) -> MilnorLowerFn:
+    """Lower bound from derivations, verifying witnesses where possible.
+
+    Each derivation carrying both a nonzero claim and a witness link is
+    checked: the witness invariant is recomputed, a zero residue is a
+    hard error, and a residue disagreeing in magnitude with the declared
+    value is rejected as inconsistent data.
+    """
+    derivations = tuple(derivations)
+    records: list[MilnorRecord | None] = []
+    for der in derivations:
+        rec = None
+        if der.claims_nonzero and der.witness_link is not None:
+            rec = mubar(der.witness_link, der.witness_index)
+            if rec.mubar == 0:
+                raise WitnessError(
+                    f"witness mubar{der.witness_index} computes to 0 on the "
+                    f"witness link, but a nonzero value was declared"
+                )
+            if abs(rec.signed) != abs(der.witness_value):
+                raise WitnessError(
+                    f"declared witness value {der.witness_value} disagrees with "
+                    f"computed {rec.signed} for index {der.witness_index}"
+                )
+        records.append(rec)
+    return MilnorLowerFn(derivations=derivations, records=tuple(records))
+
+
+def nm_lower_drf(spec: NMLinkSpec | tuple[int, int]) -> MilnorLowerFn:
+    """The canonical derivation-based lower bound for the (n,m) chain link.
+
+    Take the winding-degree cover (d = m).  For n >= 2 the chain lifts to
+    a length-n chain with winding 1; keeping one copy and blowing down
+    n-2 of its components leaves the borromean rings with axis, witness
+    mubar(0,1,2) = +-1.  For n = 1 the lift contains the whitehead link,
+    witness mubar(0,0,1,1) = +-1.
+    """
+    if not isinstance(spec, NMLinkSpec):
+        spec = NMLinkSpec(*spec)
+    if spec.n == 1:
+        derivation = CoverDerivation(
+            d=spec.m,
+            kept_n=1,
+            blowdowns=0,
+            witness_index=(0, 0, 1, 1),
+            witness_value=1,
+            witness_link=pd_fixture("whitehead"),
+            note="degree-m cover; the lifted pattern is a whitehead link",
+        )
+    else:
+        derivation = CoverDerivation(
+            d=spec.m,
+            kept_n=2,
+            blowdowns=spec.n - 2,
+            witness_index=(0, 1, 2),
+            witness_value=1,
+            witness_link=bing_axis_pd(),
+            note="degree-m cover, one chain copy kept, n-2 blow-downs",
+        )
+    return lower_milnor_drf([derivation])

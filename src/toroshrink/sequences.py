@@ -8,11 +8,11 @@ eventually periodic, closed-form (integer polynomials in the index, with
 an even/odd split), and explicit finite data with an unknown tail.
 
 The polynomial grammar is deliberately small: integer constants, one
-variable, +, -, *, ^, and degree at most 64.  Positivity of a
-polynomial from an index onward is decidable exactly: `IntPoly.sign_changes`
-lists every integer where the sign flips, by bisection between the sign
-changes of its forward difference, which keeps every certificate
-symbolic rather than numeric sampling.
+variable, +, -, *, ^, degree at most 64 and constant powers below about
+2^4096.  Positivity of a polynomial from an index onward is decidable
+exactly: `IntPoly.sign_changes` lists every integer where the sign flips,
+by bisection between the sign changes of its forward difference, which
+keeps every certificate symbolic rather than numeric sampling.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .drf import chain_steps
-from .linkio import _NM_SPEC, NMLinkSpec
+from .drf import _NM_SPEC, NMLinkSpec, chain_steps
 
 __all__ = [
     "IntPoly",
@@ -44,7 +43,6 @@ __all__ = [
     "parse_sequence_config",
     "sequence_to_config",
     "partial_products",
-    "tau",
 ]
 
 
@@ -246,6 +244,10 @@ _POLY_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]|\^|\*|\+|-|\(|\))")
 # "(i+1)^100000" would take hours.  The bound sits far above degree 9,
 # the highest in the demos and the benchmark configs.
 _MAX_DEGREE = 64
+# A constant power c^e is rejected before it is formed when its lower bound
+# 2^(e * (bit length of c - 1)) reaches 2^4096; one that is formed has
+# fewer than 8192 bits.
+_MAX_CONSTANT_BITS = 4096
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -298,11 +300,16 @@ def parse_poly(text: str) -> IntPoly:
             e = take()
             if not e.isdigit():
                 raise SequenceError(f"exponent must be a constant in {text!r}")
-            check_degree(max(int(e), (len(p) - 1) * int(e)))
-            out = [1]
-            for _ in range(int(e)):
-                out = _poly_mul(out, p)
-            p = out
+            e = int(e)
+            if len(p) > 1:
+                check_degree((len(p) - 1) * e)
+                p = reduce(_poly_mul, [p] * e, [1])
+            elif e * (abs(p[0]).bit_length() - 1) >= _MAX_CONSTANT_BITS:
+                raise SequenceError(
+                    f"term {text!r} has a constant of more than {_MAX_CONSTANT_BITS} bits"
+                )
+            else:
+                p = [p[0] ** e]
         return p
 
     def term() -> list[int]:
@@ -331,11 +338,6 @@ def parse_poly(text: str) -> IntPoly:
 
 
 # -- link sequences -----------------------------------------------------------
-
-
-def tau(spec: NMLinkSpec) -> Fraction:
-    """The width-to-winding ratio n/(2m) of one chain link."""
-    return Fraction(spec.n, 2 * spec.m)
 
 
 def partial_products(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -375,13 +377,10 @@ class Period:
     def slope(self) -> Fraction:
         return 1 / self.product
 
-    def composite(self, k: int) -> int:
-        """g(k): the composed disc replicating functions of one period."""
-        return chain_steps(self.pairs, (k,))[0]
-
     def ascent(self, upto: int) -> int | None:
-        """The least k in 1..upto with g(k) >= k, or None when g descends
-        on all of them; g runs once over the whole range."""
+        """The least k in 1..upto with g(k) >= k, g the composed DRFs of one
+        period, or None when g descends on all of them; g runs once over
+        the whole range."""
         ks = range(1, upto + 1)
         return next((k for k, g in zip(ks, chain_steps(self.pairs, ks)) if g >= k), None)
 
@@ -403,9 +402,6 @@ class LinkSequence:
             raise HorizonError(f"link {i} beyond the declared data")
         n, two_m = pairs[0]
         return NMLinkSpec(n, two_m // 2)
-
-    def tau(self, i: int) -> Fraction:
-        return tau(self.link(i))
 
 
 def _coerce_specs(links: Sequence) -> tuple[NMLinkSpec, ...]:

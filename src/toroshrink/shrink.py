@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .drf import chain_orbit, chain_steps
+from .drf import chain_orbit, chain_steps, chain_walk
 from .sequences import (
     Branch,
     GapSequence,
@@ -142,7 +142,7 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
                 "kind": "sher_armentrout",
                 "scope": "finite",
                 "checked": [[n, two_m // 2] for n, two_m in pairs],
-                "consequence": "every stage satisfies D(k) >= k for k >= 1",
+                "consequence": _EXPANSION_CONSEQUENCE,
             }
             return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
         return None
@@ -157,10 +157,13 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             "kind": "sher_armentrout",
             "scope": "symbolic",
             "branches": witness_data,
-            "consequence": "every stage satisfies D(k) >= k for k >= 1",
+            "consequence": _EXPANSION_CONSEQUENCE,
         }
         return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
     return None
+
+
+_EXPANSION_CONSEQUENCE = "every stage satisfies D(k) >= k for k >= 1"
 
 
 def _expansion_margin(b: Branch) -> IntPoly:
@@ -476,7 +479,6 @@ def orbit_decide(
     k_max: int = DEFAULT_K_MAX,
     m_max: int = DEFAULT_M_MAX,
     p_max: int = DEFAULT_P_MAX,
-    collect_evidence: bool = True,
 ) -> ShrinkVerdict:
     """Decide through composed disc replicating functions.
 
@@ -489,8 +491,19 @@ def orbit_decide(
     reported Unknown with orbit evidence; horizon exhaustion is flagged
     separately from a decision.
     """
+    _check_horizons(k_max, m_max, p_max)
+    return _orbit_proof(seq, k_max) or _evidence_verdict(seq, k_max, m_max, p_max)
+
+
+def _check_horizons(k_max: int, m_max: int, p_max: int) -> None:
     if k_max < 1 or m_max < 1 or p_max < 1:
         raise ValueError("horizons must be >= 1")
+
+
+def _orbit_proof(seq: LinkSequence, k_max: int) -> Optional[ShrinkVerdict]:
+    """The orbit decision of a periodic variant, cross-checked against the
+    periodic product criterion, or the telescoping pairs of a two-case
+    generator; None when neither applies."""
     period = seq.one_period
     if period is not None:
         verdict = _decide_periodic_orbits(seq, period, k_max)
@@ -504,15 +517,13 @@ def orbit_decide(
             verdict, corroborating=(("periodic_product", cross.outcome),)
         )
     if isinstance(seq, GeneratorSequence) and seq.two_case:
-        telescoped = _telescoping_certificate(seq)
-        if telescoped is not None:
-            return telescoped
+        return _telescoping_certificate(seq)
+    return None
+
+
+def _evidence_verdict(seq: LinkSequence, k_max: int, m_max: int, p_max: int) -> ShrinkVerdict:
     cert = {"kind": "orbit_evidence", "horizons": [k_max, m_max, p_max]}
-    evidence = (
-        _orbit_evidence(seq, k_max, m_max, p_max)
-        if collect_evidence
-        else {"skipped": "a criterion already decided this sequence"}
-    )
+    evidence = _orbit_evidence(seq, k_max, m_max, p_max)
     return ShrinkVerdict(UNKNOWN, "orbit_evidence", cert, seq, evidence=evidence)
 
 
@@ -597,7 +608,8 @@ class _OrbitPaths:
     reaches past the frontier.  A path still at link m_max has taken no
     step, so its value may be a start k above the cap, which is alive.
     Starts come in increasing order, so each window ends one link after
-    the last and never behind a frontier.
+    the last and never behind a frontier.  `walk` steps a value with
+    `drf.chain_walk`, once per chunk of links it reads ahead.
     """
 
     def __init__(self, seq: LinkSequence, m_max: int, p_max: int):
@@ -617,18 +629,13 @@ class _OrbitPaths:
     def walk(self, v: int, pos: int, end: int) -> tuple[int, int]:
         """Apply links pos + 1, ..., end to v, stopping where it vanishes,
         caps or the links run out: (value, links applied)."""
-        links, cap = self.links, _ORBIT_VALUE_CAP
+        links = self.links
         while True:
             # a slice, not islice: islice would skip pos links on every chunk
-            for n, two_m in links[pos:end]:
-                pos += 1
-                # drf.chain_step inlined: a call per step would dominate
-                v = -(-two_m * v // n) - 1  # f(v), >= 0 since v >= 1
-                if not v:
-                    return 0, pos
-                if v > cap:
-                    return cap + 1, pos
-            if pos >= end:
+            v, applied = chain_walk(links[pos:end], v, _ORBIT_VALUE_CAP)
+            pos += applied
+            # a value above the cap stops the walk only once a step made it
+            if not v or (applied and v > _ORBIT_VALUE_CAP) or pos >= end:
                 return v, pos
             # read ahead in doubling chunks, within the window
             self.read(min(end, max(2 * pos, self.meet + 1)))
@@ -728,23 +735,25 @@ def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
         c_poly = _pair_slope(first, second)
         if c_poly is None:
             continue
-        if not _telescopes_numerically(seq, first, 50, 1000):
-            raise VerdictConsistencyError(
-                "telescoping identity verified symbolically but fails numerically"
-            )
         c = c_poly.text("s")
         cert = {
             "kind": "telescoping_pairs",
             "alignment": label,
             "pair_slope": c,
             "identity": _telescoping_identity(c),
-            "numeric_check": "two-step composite is k-1 (k-2 when the pair "
-            "slope is 1) for s <= 50, k <= 1000",
-            "conclusion": "orbits decrease by at least one per aligned pair, "
-            "so every orbit reaches 0",
+            "numeric_check": _TELESCOPING_CHECK,
+            "conclusion": _TELESCOPING_CONCLUSION,
         }
         return ShrinkVerdict(SHRINKS, "telescoping_pairs", cert, seq)
     return None
+
+
+_TELESCOPING_CHECK = (
+    "two-step composite is k-1 (k-2 when the pair slope is 1) for s <= 50, k <= 1000"
+)
+_TELESCOPING_CONCLUSION = (
+    "orbits decrease by at least one per aligned pair, so every orbit reaches 0"
+)
 
 
 def _telescoping_identity(c: str) -> str:
@@ -771,14 +780,14 @@ def _pair_slope(first: Branch, second: Branch) -> Optional[IntPoly]:
     return c
 
 
-def _telescopes_numerically(seq, first: Branch, s_max, k_max) -> bool:
+def _telescopes_numerically(seq, first: Branch) -> bool:
     """The composite over an aligned pair must be exactly k-1, except that
     a pair slope of 1 gives max(k-2, 0); both decrement.  Checked for the
-    pairs s = first.first, ..., s_max, whose links are read in one run."""
-    ks = (1, 2, 3, 5, 17, k_max)
+    pairs s = first.first, ..., 50, whose links are read in one run."""
+    ks = (1, 2, 3, 5, 17, 1000)
     start = first.index(first.first)
-    pairs = seq.link_pairs(start, first.index(s_max) + 2 - start)
-    for s in range(first.first, s_max + 1):
+    pairs = seq.link_pairs(start, first.index(50) + 2 - start)
+    for s in range(first.first, 51):
         j = first.index(s) - start
         n, two_m = pairs[j]
         drop = 1 if two_m // n > 1 else 2
@@ -799,6 +808,7 @@ def decide(
     """Run every applicable criterion, enforce agreement, and return the
     first verdict in the order below, corroborated by the others (Unknown
     with orbit evidence when nothing fires)."""
+    _check_horizons(k_max, m_max, p_max)
     convergent = convergent_tau_series(seq)
     divergent = divergent_weighted_tau_series(seq)
     verdicts = [
@@ -809,20 +819,16 @@ def decide(
             _bounded_widths(seq, convergent, divergent),
             convergent,
             divergent,
+            _orbit_proof(seq, k_max),
         )
         if v is not None
     ]
-    orbit_verdict = orbit_decide(
-        seq, k_max, m_max, p_max, collect_evidence=not verdicts
-    )
-    if orbit_verdict.outcome != UNKNOWN:
-        verdicts.append(orbit_verdict)
     if len({v.outcome for v in verdicts}) > 1:
         raise VerdictConsistencyError(
             f"contradictory verdicts: {[(v.criterion, v.outcome) for v in verdicts]}"
         )
     if not verdicts:
-        return orbit_verdict
+        return _evidence_verdict(seq, k_max, m_max, p_max)
     primary, *rest = verdicts
     corroborating = tuple((v.criterion, v.outcome) for v in rest) + primary.corroborating
     return dataclasses.replace(primary, corroborating=corroborating)
@@ -864,7 +870,7 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         expected = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
         return verdict.outcome == expected
     if kind == "sher_armentrout":
-        if verdict.outcome != DOES_NOT_SHRINK:
+        if verdict.outcome != DOES_NOT_SHRINK or cert["consequence"] != _EXPANSION_CONSEQUENCE:
             return False
         if cert["scope"] == "finite":
             if period is None:
@@ -919,9 +925,11 @@ def _verify(verdict: ShrinkVerdict) -> bool:
         if method == "periodic_product":
             if period is None:
                 return False
+            n_max = _sup_widths(seq)
+            floor = str(min(period.partials) / n_max)
             if str(period.product) != cert["product"] or period.product < 1:
                 return False
-            return str(min(period.partials) / _sup_widths(seq)) == cert["term_floor"]
+            return cert["n_max"] == n_max and cert["term_floor"] == floor
         if method == "harmonic_comparison":
             # constant widths and tau >= 1 give every term >= 1/n_max
             return (
@@ -1012,13 +1020,16 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
     if str(a) != cert["slope"]:
         return False
     if verdict.outcome == SHRINKS:
-        upto = cert["checked_upto"]
+        upto, trace = cert["checked_upto"], cert["sample_orbit"]
+        # the orbit of trace[0] over repeated periods; DRFs start at k >= 0
         return (
             a <= 1
             and 1 <= upto <= _DESCENT_CHECK_MAX
             and cert["descent"] == _descent_text(upto, a)
             and period.ascent(upto) is None
-            and _replay_trace(period.pairs, cert["sample_orbit"])
+            and len(trace) >= 1
+            and trace[0] >= 0
+            and trace == chain_orbit((period.pairs * len(trace))[: len(trace) - 1], trace[0])
         )
     if verdict.outcome == DOES_NOT_SHRINK:
         k0, trace = cert["k0"], cert["period_trace_from_k0"]
@@ -1028,21 +1039,10 @@ def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
             and cert["monotone_argument"] == _MONOTONE_ARGUMENT
             and cert["start_index"] == len(period.head) + 1
             and k0 >= 1
-            and period.composite(k0) >= k0
-            and _replay_trace(period.pairs, trace, single_period=True)
-            and trace[0] == k0
+            and trace == chain_orbit(period.pairs, k0)
+            and trace[-1] >= k0
         )
     return False
-
-
-def _replay_trace(pairs, trace, single_period=False) -> bool:
-    """True when the nonempty `trace` is the orbit of its first value over
-    the links of `pairs`, repeated (one pass only when `single_period`)."""
-    # disc replicating functions are defined on k >= 0
-    if not trace or trace[0] < 0:
-        return False
-    steps = pairs if single_period else pairs * (len(trace) // len(pairs) + 1)
-    return chain_orbit(steps[: len(trace) - 1], trace[0]) == trace
 
 
 def _verify_telescoping(verdict: ShrinkVerdict) -> bool:
@@ -1057,6 +1057,11 @@ def _verify_telescoping(verdict: ShrinkVerdict) -> bool:
     if c_poly is None:
         return False
     c = c_poly.text("s")
-    if c != cert["pair_slope"] or _telescoping_identity(c) != cert["identity"]:
-        return False
-    return _telescopes_numerically(seq, pair[0], 20, 200) and verdict.outcome == SHRINKS
+    return (
+        c == cert["pair_slope"]
+        and _telescoping_identity(c) == cert["identity"]
+        and cert["numeric_check"] == _TELESCOPING_CHECK
+        and cert["conclusion"] == _TELESCOPING_CONCLUSION
+        and verdict.outcome == SHRINKS
+        and _telescopes_numerically(seq, pair[0])
+    )

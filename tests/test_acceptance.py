@@ -13,11 +13,11 @@ from math import ceil
 
 import numpy as np
 
-from toroshrink.drf import nm_drf, nm_lower_drf
+from toroshrink.drf import nm_drf
 from toroshrink.freegroup import Word, iterated_fox_coefficient
 from toroshrink.linkio import bing_axis_pd, builtin, pd_fixture
 from toroshrink.magnus import MagnusSeries, expand
-from toroshrink.milnor import all_multi_indices, longitude_word, mu, mubar
+from toroshrink.milnor import all_multi_indices, longitude_word, mu, mubar, nm_lower_drf
 from toroshrink.sequences import (
     GapSequence,
     GeneratorSequence,

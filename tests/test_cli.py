@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import runpy
+import time
 
 import pytest
 
@@ -347,6 +348,20 @@ def test_shrink_decide_term_of_huge_degree_exits_three(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "'(i+1)^100000' has degree above 64" in err
+
+
+def test_shrink_decide_huge_constant_power_exits_three_at_once(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "generator", "n": "2^100000000", "m": "1"}), encoding="utf-8"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'2^100000000' has a constant of more than 4096 bits" in err
 
 
 def test_milnor_without_index_exits_three(capsys):

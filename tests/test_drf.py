@@ -5,18 +5,10 @@ from math import ceil
 import pytest
 from hypothesis import given, strategies as st
 
+from toroshrink.drf import chain_orbit, chain_steps, chain_walk, compose, nm_drf
 from toroshrink.freegroup import Word
-from toroshrink.linkio import CoverDerivation, LinkPresentation, NMLinkSpec
-from toroshrink.drf import (
-    WitnessError,
-    ceil_div,
-    chain_step,
-    chain_steps,
-    compose,
-    lower_milnor_drf,
-    nm_drf,
-    nm_lower_drf,
-)
+from toroshrink.linkio import CoverDerivation, LinkPresentation
+from toroshrink.milnor import MilnorLowerFn, WitnessError, lower_milnor_drf, nm_lower_drf
 
 
 def fraction_ceil(a, b):
@@ -24,27 +16,44 @@ def fraction_ceil(a, b):
     return ceil(Fraction(a, b))
 
 
-def test_ceil_div_matches_fraction_oracle():
+def test_lower_chain_case_matches_fraction_oracle():
+    # a witness of length > 2 bounds by the DRF of a (kept + blowdowns, d) chain
     rng = random.Random(3)
     for _ in range(500):
-        a = rng.randrange(0, 10_000)
-        b = rng.randrange(1, 50)
-        assert ceil_div(a, b) == fraction_ceil(a, b)
+        d, kept, blowdowns = rng.randrange(1, 50), rng.randrange(1, 10), rng.randrange(0, 40)
+        k = rng.randrange(0, 10_000)
+        der = CoverDerivation(
+            d=d, kept_n=kept, blowdowns=blowdowns, witness_index=(0, 1, 2), witness_value=1
+        )
+        oracle = max(fraction_ceil(2 * d * k, kept + blowdowns) - 1, 0)
+        assert MilnorLowerFn.case_value(der, k) == oracle
 
 
-@given(
-    links=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=6),
-    values=st.lists(st.integers(1, 10**6), max_size=20).map(lambda vs: [0, *vs]),
-)
-def test_chain_steps_match_chain_step_link_by_link(links, values):
+_links_st = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=6)
+
+
+@given(links=_links_st, values=st.lists(st.integers(1, 10**6), max_size=20))
+def test_chain_steps_match_fraction_oracle(links, values):
+    values = [0, *values]
     expected = []
     for v in values:
         for n, m in links:
-            oracle = max(fraction_ceil(2 * m * v, n) - 1, 0)
-            v = chain_step(NMLinkSpec(n, m), v)
-            assert v == oracle
+            v = max(fraction_ceil(2 * m * v, n) - 1, 0)
         expected.append(v)
     assert chain_steps([(n, 2 * m) for n, m in links], values) == expected
+
+
+@given(links=_links_st, v=st.integers(1, 10**6), cap=st.integers(1, 10**4))
+def test_chain_walk_stops_where_the_orbit_vanishes_or_caps(links, v, cap):
+    pairs = [(n, 2 * m) for n, m in links]
+    orbit = chain_orbit(pairs, v)
+    # the first step whose value is 0 or above the cap; v itself is not capped
+    stop = next((t for t, w in enumerate(orbit) if t and (w == 0 or w > cap)), None)
+    if stop is None:
+        expected = (orbit[-1], len(pairs))
+    else:
+        expected = (min(orbit[stop], cap + 1), stop)
+    assert chain_walk(pairs, v, cap) == expected
 
 
 def test_bing_formula():

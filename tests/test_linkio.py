@@ -1,5 +1,6 @@
 import pytest
 
+from toroshrink.drf import NMLinkSpec
 from toroshrink.freegroup import commutator, parse_word
 from toroshrink.linkio import (
     BORROMEAN_PD,
@@ -7,7 +8,6 @@ from toroshrink.linkio import (
     WHITEHEAD_PD,
     CoverDerivation,
     LinkPresentation,
-    NMLinkSpec,
     PDError,
     bing_axis_pd,
     builtin,

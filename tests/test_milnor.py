@@ -202,7 +202,8 @@ def test_all_multi_indices_enumeration():
 
 
 def test_monomial_budget_guard():
-    from toroshrink.linkio import NMLinkSpec, nm_presentation
+    from toroshrink.drf import NMLinkSpec
+    from toroshrink.linkio import nm_presentation
 
     wide = nm_presentation(NMLinkSpec(20, 1))
     with pytest.raises(MilnorError, match="budget"):

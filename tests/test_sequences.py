@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toroshrink.drf import compose, nm_drf
-from toroshrink.linkio import NMLinkSpec
+from toroshrink.drf import NMLinkSpec, chain_steps, compose, nm_drf
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,
@@ -19,7 +18,6 @@ from toroshrink.sequences import (
     parse_poly,
     parse_sequence_config,
     sequence_to_config,
-    tau,
 )
 
 
@@ -92,8 +90,19 @@ def test_parse_poly_rejects_garbage():
 def test_parse_poly_bounds_the_degree():
     assert parse_poly("(i+1)^64").degree == 64
     assert parse_poly("i^30*i^30*(i^2)^2").degree == 64
-    for bad in ["(i+1)^65", "2^65", "(i^2)^33", "i^30*i^30*i^5", "(i*i^64)^0", "(i+1)^100000"]:
+    for bad in ["(i+1)^65", "(i^2)^33", "i^30*i^30*i^5", "(i*i^64)^0", "(i+1)^100000"]:
         with pytest.raises(SequenceError, match=re.escape(f"term {bad!r} has degree above 64")):
+            parse_poly(bad)
+
+
+def test_parse_poly_bounds_a_constant_power_by_its_size():
+    # a constant has degree 0 whatever its exponent
+    assert parse_poly("10^100").coeffs == (10**100,)
+    assert parse_poly("1^1000000").coeffs == (1,)
+    assert parse_poly("2^65*i").coeffs == (0, 2**65)
+    assert parse_poly("(0-3)^3 + 2^4095").coeffs == (2**4095 - 27,)
+    for bad in ["2^4096", "3^4096", "10^2000", "(1 + 1)^100000000"]:
+        with pytest.raises(SequenceError, match=re.escape(f"term {bad!r} has a constant of")):
             parse_poly(bad)
 
 
@@ -251,7 +260,7 @@ def test_periodic_sequence():
     assert seq.link(1) == NMLinkSpec(2, 1)
     assert seq.link(2) == NMLinkSpec(1, 1)
     assert seq.link(3) == NMLinkSpec(2, 1)
-    assert seq.tau(2) == Fraction(1, 2)
+    assert seq.link_pairs(2, 1) == [(1, 2)]
 
 
 def test_eventually_periodic_sequence():
@@ -263,7 +272,7 @@ def test_eventually_periodic_sequence():
 def test_generator_single_form():
     seq = GeneratorSequence(n_poly=parse_poly("2*i"), m_poly=parse_poly("i+1"))
     assert seq.link(3) == NMLinkSpec(6, 4)
-    assert seq.tau(3) == Fraction(6, 8)
+    assert seq.link_pairs(3, 1) == [(6, 8)]
 
 
 def test_generator_two_case_form():
@@ -530,10 +539,6 @@ def test_poly_gap_sequence_without_a_term_names_it():
         GapSequence(kind="poly")
 
 
-def test_tau_helper():
-    assert tau(NMLinkSpec(3, 2)) == Fraction(3, 4)
-
-
 # -- the Period of the periodic variants ---------------------------------------
 #
 # The criteria and the certificate verifier both read `one_period`, so the
@@ -581,8 +586,7 @@ def test_period_matches_a_link_by_link_oracle(case):
         q / (partials[prefix_len - 1] if prefix_len else 1) for q in partials[prefix_len:]
     ]
     fns = [nm_drf(s) for s in specs[prefix_len:]]
-    for k in range(0, 25):
-        assert period.composite(k) == compose(fns, k)[-1]
+    assert chain_steps(period.pairs, range(25)) == [compose(fns, k)[-1] for k in range(25)]
 
 
 @settings(max_examples=200, deadline=None)

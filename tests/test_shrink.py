@@ -152,7 +152,8 @@ def _fraction_window_probe(seq):
     validates gives the certificate, as (r, i0)."""
     taus = []
     for i0 in (1, 2, 4, 8):
-        taus += [seq.tau(i) for i in range(len(taus) + 1, i0 + 64)]
+        pairs = seq.link_pairs(len(taus) + 1, i0 + 63 - len(taus))
+        taus += [Fraction(n, two_m) for n, two_m in pairs]
         r = max(taus[i0 - 1:])
         if r >= 1:
             continue
@@ -873,6 +874,8 @@ def test_verify_rejects_forged_periodic_descent_field(field, value):
         {"k0": 0, "period_trace_from_k0": [0, 0]},
         # the orbit of k0 = 2, but over two periods
         {"period_trace_from_k0": [2, 3, 5]},
+        # the orbit of k0 = 2, cut short of one period
+        {"period_trace_from_k0": [2]},
     ],
 )
 def test_verify_rejects_forged_periodic_ascent_field(updates):
@@ -893,15 +896,50 @@ class _OneLinkOff(GeneratorSequence):
         return pairs
 
 
+def _example_56_with_link_off(off):
+    fields = {f: getattr(EXAMPLE_56, f) for f in ("even_n", "even_m", "odd_n", "odd_m")}
+    seq = _OneLinkOff(**fields)
+    object.__setattr__(seq, "off", off)
+    return seq
+
+
 def test_telescoping_check_reads_every_pair():
     first = _alignments(EXAMPLE_56)["odd_then_even"][0]
-    assert _telescopes_numerically(EXAMPLE_56, first, 50, 1000)
-    fields = {f: getattr(EXAMPLE_56, f) for f in ("even_n", "even_m", "odd_n", "odd_m")}
+    assert _telescopes_numerically(EXAMPLE_56, first)
     for s in range(first.first, 51):
         for off in (first.index(s), first.index(s) + 1):
-            seq = _OneLinkOff(**fields)
-            object.__setattr__(seq, "off", off)
-            assert not _telescopes_numerically(seq, first, 50, 1000), (s, off)
+            seq = _example_56_with_link_off(off)
+            assert not _telescopes_numerically(seq, first), (s, off)
+
+
+@pytest.mark.parametrize("s", [21, 37, 50])
+def test_verify_reads_every_telescoping_pair_the_certificate_states(s):
+    # the certificate states the pair composite for s <= 50
+    v = decide(EXAMPLE_56)
+    first = _alignments(EXAMPLE_56)[v.certificate["alignment"]][0]
+    seq = _example_56_with_link_off(first.index(s))
+    assert verify_certificate(v) is True
+    assert verify_certificate(dataclasses.replace(v, sequence=seq)) is False
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("divergent_periodic_product", "n_max", 9),
+        ("bounded_widths_periodic_diverges", "inner.n_max", 9),
+        ("sher_armentrout_finite", "consequence", "every stage satisfies D(k) >= 0"),
+        ("sher_armentrout_symbolic", "consequence", "every stage satisfies D(k) >= 0"),
+        ("telescoping_pairs", "numeric_check", "two-step composite is k-1 for s <= 5"),
+        ("telescoping_pairs", "conclusion", "every orbit is bounded"),
+    ],
+)
+def test_verify_rejects_a_forged_stated_field(name, field, value):
+    v = CERTIFICATE_CASES[name]()
+    assert verify_certificate(v) is True
+    if field.startswith("inner."):
+        value = dict(v.certificate["inner"], **{field[len("inner."):]: value})
+        field = "inner"
+    assert verify_certificate(_tamper(v, **{field: value})) is False
 
 
 # -- forged certificates: the verifier accepts only what a criterion writes ----
