@@ -230,21 +230,6 @@ class GroupRingElement:
             terms[w] = terms.get(w, 0) + c
         return GroupRingElement(self.rank, terms)
 
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.rank, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        terms: dict[Word, int] = {}
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u * v
-                terms[w] = terms.get(w, 0) + a * b
-        return GroupRingElement(self.rank, terms)
-
     def scaled(self, n: int) -> "GroupRingElement":
         return GroupRingElement(self.rank, {w: n * c for w, c in self.terms.items()})
 

@@ -74,19 +74,6 @@ class MagnusSeries:
         if self.trunc != other.trunc:
             raise TruncationMismatch(f"degree {self.trunc} vs {other.trunc}")
 
-    def __add__(self, other: "MagnusSeries") -> "MagnusSeries":
-        self._check(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            terms[mon] = terms.get(mon, 0) + c
-        return MagnusSeries(self.trunc, terms)
-
-    def __neg__(self) -> "MagnusSeries":
-        return MagnusSeries(self.trunc, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MagnusSeries") -> "MagnusSeries":
-        return self + (-other)
-
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         self._check(other)
         q = self.trunc

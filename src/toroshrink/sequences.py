@@ -57,7 +57,15 @@ class HorizonError(LookupError):
 # -- integer polynomials -----------------------------------------------------
 #
 # Coefficient lists, ascending, are the working form: `parse_poly` and the
-# `IntPoly` operators all go through these two helpers.
+# `IntPoly` operators all go through these helpers.  Sums and products come
+# back without trailing zeros, so a base whose variable terms cancel, such
+# as (i - i + 2), is a constant when `parse_poly` reads its exponent.
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 def _poly_add(a: Sequence[int], b: Sequence[int], scale: int = 1) -> list[int]:
@@ -65,7 +73,7 @@ def _poly_add(a: Sequence[int], b: Sequence[int], scale: int = 1) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for j, c in enumerate(b):
         out[j] += scale * c
-    return out
+    return _trim(out)
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -73,7 +81,7 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return out
+    return _trim(out)
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = list(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim(list(self.coeffs))))
 
     @classmethod
     def const(cls, c: int) -> "IntPoly":
@@ -181,18 +186,15 @@ class IntPoly:
             out.append(hi)
         return out
 
-    def ge_from(self, bound: int, i_min: int) -> tuple[bool, int | None]:
-        """Decide p(i) >= bound for every integer i >= i_min, exactly.
-
-        Returns (True, None) or (False, first violating index >= i_min):
-        with q = p - bound, that is i_min when q(i_min) < 0, and otherwise
-        the first of `q.sign_changes(i_min)`, where q turns negative.
+    def first_negative(self, i_min: int) -> int | None:
+        """The first integer i >= i_min where p(i) < 0, exactly, or None when
+        p(i) >= 0 for every i >= i_min: that is i_min when p(i_min) < 0, and
+        otherwise the first of `sign_changes(i_min)`, where p turns negative.
         """
-        p = self - IntPoly.const(bound)
-        if p(i_min) < 0:
-            return (False, i_min)
-        changes = p.sign_changes(i_min)
-        return (False, changes[0]) if changes else (True, None)
+        if self(i_min) < 0:
+            return i_min
+        changes = self.sign_changes(i_min)
+        return changes[0] if changes else None
 
     def divide_exact(self, other: "IntPoly") -> "IntPoly | None":
         """self / other when the quotient is a polynomial with integer
@@ -304,12 +306,13 @@ def parse_poly(text: str) -> IntPoly:
             if len(p) > 1:
                 check_degree((len(p) - 1) * e)
                 p = reduce(_poly_mul, [p] * e, [1])
-            elif e * (abs(p[0]).bit_length() - 1) >= _MAX_CONSTANT_BITS:
-                raise SequenceError(
-                    f"term {text!r} has a constant of more than {_MAX_CONSTANT_BITS} bits"
-                )
             else:
-                p = [p[0] ** e]
+                c = p[0] if p else 0
+                if e * (abs(c).bit_length() - 1) >= _MAX_CONSTANT_BITS:
+                    raise SequenceError(
+                        f"term {text!r} has a constant of more than {_MAX_CONSTANT_BITS} bits"
+                    )
+                p = [c**e]
         return p
 
     def term() -> list[int]:
@@ -501,8 +504,8 @@ class Branch:
         """The first link index i >= i0 on this branch where margin(s) < 0,
         or None when margin(s) >= 0 at all of them."""
         start = max(self.first, -((self.offset - i0) // self.step))
-        ok, witness = margin.ge_from(0, start)
-        return None if ok else self.index(witness)
+        witness = margin.first_negative(start)
+        return None if witness is None else self.index(witness)
 
 
 @dataclass(frozen=True)
@@ -609,16 +612,16 @@ class GapSequence(LinkSequence):
         if self.kind == "poly":
             if self.poly is None:
                 raise SequenceError("poly gap sequence needs its gap term poly")
-            ok, witness = self.poly.ge_from(0, 1)
-            if not ok:
+            witness = self.poly.first_negative(1)
+            if witness is not None:
                 raise SequenceError(f"gap term is negative at index {witness}")
         if self.kind == "two_pow":
             if self.poly is None:
                 object.__setattr__(self, "poly", IntPoly(()))
             if self.two_pow_coeff < 1:
                 raise SequenceError("2^i coefficient must be >= 1")
-            ok, witness = self.poly.ge_from(0, 1)
-            if not ok:
+            witness = self.poly.first_negative(1)
+            if witness is not None:
                 raise SequenceError(
                     f"2^i gap forms need a nonnegative remainder term "
                     f"(negative at index {witness})"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .drf import chain_orbit, chain_steps, chain_walk
 from .sequences import (
@@ -48,7 +48,6 @@ __all__ = [
     "DOES_NOT_SHRINK",
     "UNKNOWN",
     "ShrinkVerdict",
-    "CertificateError",
     "VerdictConsistencyError",
     "periodic_product",
     "sher_armentrout",
@@ -73,10 +72,6 @@ DEFAULT_M_MAX = 16
 DEFAULT_P_MAX = 10_000
 
 _PROBE = 64  # indices probed when proposing symbolic certificates
-
-
-class CertificateError(ValueError):
-    """A certificate failed validation against the sequence."""
 
 
 class VerdictConsistencyError(RuntimeError):
@@ -192,8 +187,8 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     coefficients (below 1 iff 2m - n has the degree of m and a positive
     leading coefficient); if any branch fails, no ratio exists.  Otherwise
     r is the largest tau over 64 links from i0 = 1, 2, 4, 8 in turn, and
-    the first r < 1 that `IntPoly.ge_from` proves is an upper bound from
-    i0 on, branchwise, is the certificate.
+    the first r < 1 that `IntPoly.first_negative` proves is an upper bound
+    from i0 on, branchwise, is the certificate.
     """
     period = seq.one_period
     if period is not None and period.product < 1:
@@ -225,11 +220,8 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             if bn >= bd:
                 continue
             r = Fraction(bn, bd)
-            try:
-                _validate_geometric(seq, r, i0)
-            except CertificateError:
-                continue
-            return _geometric_verdict(seq, r, i0)
+            if _geometric_fault(seq, r, i0) is None:
+                return _geometric_verdict(seq, r, i0)
     return None
 
 
@@ -248,20 +240,21 @@ def _geometric_verdict(seq: LinkSequence, r: Fraction, i0: int) -> ShrinkVerdict
     return ShrinkVerdict(DOES_NOT_SHRINK, "convergent_tau_series", data, seq)
 
 
-def _validate_geometric(seq: LinkSequence, r: Fraction, i0: int) -> None:
-    """Raise unless seq is a generator with tau_i <= r < 1 for all i >= i0."""
+def _geometric_fault(seq: LinkSequence, r: Fraction, i0: int) -> Optional[str]:
+    """Why seq is not a generator with tau_i <= r < 1 for all i >= i0, or None."""
     if r >= 1 or r <= 0:
-        raise CertificateError("geometric ratio must satisfy 0 < r < 1")
+        return "geometric ratio must satisfy 0 < r < 1"
     if i0 < 1:
-        raise CertificateError("geometric ratio needs i0 >= 1")
+        return "geometric ratio needs i0 >= 1"
     if not isinstance(seq, GeneratorSequence):
-        raise CertificateError("geometric ratios are certified for generators only")
+        return "geometric ratios are certified for generators only"
     # tau_i <= r  <=>  den(r) * n_i <= 2 num(r) * m_i, branchwise
     for b in seq.branches:
         margin = b.m.scaled(2 * r.numerator) - b.n.scaled(r.denominator)
         index = b.violation(margin, i0)
         if index is not None:
-            raise CertificateError(f"tau at index {index} exceeds r")
+            return f"tau at index {index} exceeds r"
+    return None
 
 
 def _geometric_bound(seq: LinkSequence, r: Fraction, i0: int):
@@ -386,10 +379,6 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
         return ShrinkVerdict(UNKNOWN, "ancel_starbird", cert, gaps, evidence=evidence)
     if gaps.kind == "periodic":
         cross = periodic_product(gaps)
-        if cross.outcome != DOES_NOT_SHRINK:
-            raise VerdictConsistencyError(
-                "periodic gaps must agree with the periodic product criterion"
-            )
         cert = {
             "kind": "ancel_starbird",
             "method": "periodic_geometric",
@@ -397,8 +386,8 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
             "exact_sum": str(_periodic_gap_sum(gaps)),
             "cross_check": cross.certificate,
         }
-        corroborating = (("periodic_product", cross.outcome),)
-        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps, corroborating)
+        verdict = ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
+        return _corroborated(verdict, [cross])
     if gaps.kind == "poly":
         if gaps.poly.is_zero():
             cert = {"kind": "ancel_starbird", "method": "zero_gaps", "exact_sum": "0"}
@@ -486,13 +475,17 @@ def orbit_decide(
     and a = prod(2m/n), a <= 1 forces g(k) < k for every k (each step
     satisfies f(v) < (2m/n) v), so all orbits vanish; a > 1 gives an
     explicit k0 with g(k0) >= k0, which by monotonicity pins the orbit at
-    or above k0 forever.  A two-case generator whose aligned two-step
+    or above k0 forever; the periodic product criterion corroborates
+    either decision.  A two-case generator whose aligned two-step
     composite telescopes to k -> k - 1 also shrinks.  Anything else is
     reported Unknown with orbit evidence; horizon exhaustion is flagged
     separately from a decision.
     """
     _check_horizons(k_max, m_max, p_max)
-    return _orbit_proof(seq, k_max) or _evidence_verdict(seq, k_max, m_max, p_max)
+    proof = _orbit_proof(seq, k_max)
+    if proof is None:
+        return _evidence_verdict(seq, k_max, m_max, p_max)
+    return _corroborated(proof, [periodic_product(seq)])
 
 
 def _check_horizons(k_max: int, m_max: int, p_max: int) -> None:
@@ -501,21 +494,11 @@ def _check_horizons(k_max: int, m_max: int, p_max: int) -> None:
 
 
 def _orbit_proof(seq: LinkSequence, k_max: int) -> Optional[ShrinkVerdict]:
-    """The orbit decision of a periodic variant, cross-checked against the
-    periodic product criterion, or the telescoping pairs of a two-case
-    generator; None when neither applies."""
+    """The orbit decision of a periodic variant, or the telescoping pairs
+    of a two-case generator; None when neither applies."""
     period = seq.one_period
     if period is not None:
-        verdict = _decide_periodic_orbits(seq, period, k_max)
-        cross = periodic_product(seq)
-        if cross.outcome != verdict.outcome:
-            raise VerdictConsistencyError(
-                f"orbit decision {verdict.outcome} contradicts the periodic "
-                f"product criterion {cross.outcome}"
-            )
-        return dataclasses.replace(
-            verdict, corroborating=(("periodic_product", cross.outcome),)
-        )
+        return _decide_periodic_orbits(seq, period, k_max)
     if isinstance(seq, GeneratorSequence) and seq.two_case:
         return _telescoping_certificate(seq)
     return None
@@ -823,14 +806,21 @@ def decide(
         )
         if v is not None
     ]
-    if len({v.outcome for v in verdicts}) > 1:
-        raise VerdictConsistencyError(
-            f"contradictory verdicts: {[(v.criterion, v.outcome) for v in verdicts]}"
-        )
     if not verdicts:
         return _evidence_verdict(seq, k_max, m_max, p_max)
-    primary, *rest = verdicts
-    corroborating = tuple((v.criterion, v.outcome) for v in rest) + primary.corroborating
+    return _corroborated(verdicts[0], verdicts[1:])
+
+
+def _corroborated(
+    primary: ShrinkVerdict, others: Iterable[Optional[ShrinkVerdict]]
+) -> ShrinkVerdict:
+    """primary, corroborated by every verdict of others that is not None;
+    any of them with another outcome is an internal contradiction."""
+    others = [v for v in others if v is not None]
+    if any(v.outcome != primary.outcome for v in others):
+        verdicts = [(v.criterion, v.outcome) for v in (primary, *others)]
+        raise VerdictConsistencyError(f"contradictory verdicts: {verdicts}")
+    corroborating = tuple((v.criterion, v.outcome) for v in others)
     return dataclasses.replace(primary, corroborating=corroborating)
 
 
@@ -909,7 +899,8 @@ def _verify(verdict: ShrinkVerdict) -> bool:
             if cert["block"] != 1:
                 return False
             r, i0 = Fraction(cert["r"]), cert["i0"]
-            _validate_geometric(seq, r, i0)
+            if _geometric_fault(seq, r, i0) is not None:
+                return False
             bound, k0, prefix = _geometric_bound(seq, r, i0)
             return (
                 str(bound) == cert["bound"]
@@ -994,7 +985,7 @@ def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
             and cert["extra_term"] == gaps.poly.text("i")
             and cert["gap_term"] == _gap_term(gaps)
             and i0 >= 1
-            and gaps.poly.ge_from(0, i0)[0]
+            and gaps.poly.first_negative(i0) is None
             and verdict.outcome == SHRINKS
         )
     if verdict.outcome != DOES_NOT_SHRINK:
@@ -1006,7 +997,7 @@ def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
         method == "ratio_test"
         and cert["gap_term"] == _gap_term(gaps)
         and 0 < r < 1
-        and _ratio_margin(gaps.poly, r).ge_from(0, i0)[0]
+        and _ratio_margin(gaps.poly, r).first_negative(i0) is None
         and cert["bound"] == str(_ratio_test_bound(gaps, r, i0))
     )
 

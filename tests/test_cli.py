@@ -37,6 +37,23 @@ def test_link_info_pd_file(tmp_path, capsys):
     assert "lk(1,2) = 1" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("link", "info"), ("milnor", "--index", "1,2")], ids=["link_info", "milnor"]
+)
+def test_pd_text_reads_as_a_pd_file(tmp_path, capsys, argv):
+    pd_file = tmp_path / "hopf.pd"
+    pd_file.write_text(HOPF_PD, encoding="utf-8")
+    from_file = run(capsys, *argv, "--pd", str(pd_file))
+    assert from_file[0] == 0
+    assert run(capsys, *argv, "--pd-text", HOPF_PD) == from_file
+
+
+def test_link_info_one_component_has_no_linking_numbers(capsys):
+    code, out, _ = run(capsys, "link", "info", "--pd-text", "% component 1: -")
+    assert code == 0
+    assert "linking numbers: none" in out.splitlines()
+
+
 def test_link_info_empty_file_is_error(tmp_path, capsys):
     pd_file = tmp_path / "empty.pd"
     pd_file.write_text("", encoding="utf-8")
@@ -378,6 +395,13 @@ def test_milnor_empty_index_exits_three(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "multi-index needs length >= 2" in err
+
+
+def test_milnor_bad_index_exits_three(capsys):
+    code, out, err = run(capsys, "milnor", "--builtin", "borromean", "--index", "0,x")
+    assert code == 3
+    assert out == ""
+    assert "bad multi-index '0,x'" in err
 
 
 @pytest.mark.parametrize("length", ["1", "0", "-3"])

@@ -101,7 +101,12 @@ def test_parse_poly_bounds_a_constant_power_by_its_size():
     assert parse_poly("1^1000000").coeffs == (1,)
     assert parse_poly("2^65*i").coeffs == (0, 2**65)
     assert parse_poly("(0-3)^3 + 2^4095").coeffs == (2**4095 - 27,)
-    for bad in ["2^4096", "3^4096", "10^2000", "(1 + 1)^100000000"]:
+    # so is a base whose variable terms cancel
+    assert parse_poly("(i-i+2)^65").coeffs == (2**65,)
+    assert parse_poly("(i-i)^70").is_zero()
+    assert parse_poly("(0*i)^65").is_zero()
+    assert parse_poly("(i-i)^0").coeffs == (1,)
+    for bad in ["2^4096", "3^4096", "10^2000", "(1 + 1)^100000000", "(i-i+2)^100000000"]:
         with pytest.raises(SequenceError, match=re.escape(f"term {bad!r} has a constant of")):
             parse_poly(bad)
 
@@ -112,43 +117,42 @@ def test_poly_text_round_trip():
         assert parse_poly(p.text("s")) == p
 
 
-def test_ge_from_complete_decision():
+def test_first_negative_complete_decision():
     p = parse_poly("2*i - 4")
-    assert p.ge_from(0, 1) == (False, 1)
-    assert p.ge_from(0, 2) == (True, None)
+    assert p.first_negative(1) == 1
+    assert p.first_negative(2) is None
     q = parse_poly("i^2 - 10*i + 1")
-    ok, witness = q.ge_from(0, 1)
-    assert not ok and q(witness) < 0
-    assert q.ge_from(0, 10) == (True, None)
+    witness = q.first_negative(1)
+    assert witness is not None and q(witness) < 0
+    assert q.first_negative(10) is None
     neg = parse_poly("5 - i^2")
-    ok, witness = neg.ge_from(0, 1)
-    assert not ok and neg(witness) < 0
+    witness = neg.first_negative(1)
+    assert witness is not None and neg(witness) < 0
 
 
-def _scan_ge_from(p: IntPoly, bound: int, i_min: int):
-    """ge_from by the plain scan: every i from i_min up to the dominance
-    bound 1 + ceil((sum |lower| + 1) / |lead|) of p - bound, past which the
-    lead alone sets the sign."""
+def _scan_first_negative(p: IntPoly, i_min: int):
+    """first_negative by the plain scan: every i from i_min up to the
+    dominance bound 1 + ceil((sum |lower| + 1) / |lead|) of p, past which
+    the lead alone sets the sign."""
     coeffs = list(p.coeffs) or [0]
-    coeffs[0] -= bound
 
     def q(i):
         return sum(c * i**e for e, c in enumerate(coeffs))
 
     lead = coeffs[-1]
     if len(coeffs) == 1:
-        return (True, None) if lead >= 0 else (False, i_min)
+        return None if lead >= 0 else i_min
     lower = sum(abs(c) for c in coeffs[:-1])
     dominance = 1 + -(-(lower + 1) // abs(lead))
     for i in range(i_min, max(i_min, dominance) + 1):
         if q(i) < 0:
-            return (False, i)
+            return i
     if lead > 0:
-        return (True, None)
+        return None
     i = max(i_min, dominance) + 1
     while q(i) >= 0:
         i += 1
-    return (False, i)
+    return i
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,14 +162,15 @@ def _scan_ge_from(p: IntPoly, bound: int, i_min: int):
     bound=st.integers(-20, 20),
     i_min=st.integers(-5, 40),
 )
-def test_ge_from_matches_the_plain_scan(lower, lead, bound, i_min):
-    p = IntPoly((*lower, lead))
-    assert p.ge_from(bound, i_min) == _scan_ge_from(p, bound, i_min)
+def test_first_negative_matches_the_plain_scan(lower, lead, bound, i_min):
+    p = IntPoly((*lower, lead)) - IntPoly.const(bound)
+    assert p.first_negative(i_min) == _scan_first_negative(p, i_min)
 
 
-def test_ge_from_constant():
-    assert IntPoly.const(3).ge_from(1, 5) == (True, None)
-    assert IntPoly.const(0).ge_from(1, 5)[0] is False
+def test_first_negative_constant():
+    assert IntPoly.const(2).first_negative(5) is None
+    assert IntPoly(()).first_negative(5) is None
+    assert IntPoly.const(-1).first_negative(5) == 5
 
 
 def _flips(p: IntPoly, candidates, i_min: int) -> list[int]:
@@ -180,7 +185,7 @@ def _flips(p: IntPoly, candidates, i_min: int) -> list[int]:
     ),
     i_min=st.integers(-60, 60),
 )
-def test_ge_from_matches_sympy_real_roots(coeffs, i_min):
+def test_first_negative_matches_sympy_real_roots(coeffs, i_min):
     # p < 0 turns on or off at i only if a real root r lies in [i-1, i],
     # so i is floor(r) + 1 or ceil(r): the only integers worth evaluating
     import sympy
@@ -192,7 +197,7 @@ def test_ge_from_matches_sympy_real_roots(coeffs, i_min):
         candidates += [int(sympy.floor(r)) + 1, int(sympy.ceiling(r))]
     assert p.sign_changes(i_min) == _flips(p, candidates, i_min)
     violations = sorted(c for c in candidates if c >= i_min and p(c) < 0)
-    assert p.ge_from(0, i_min) == ((False, violations[0]) if violations else (True, None))
+    assert p.first_negative(i_min) == (violations[0] if violations else None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,16 +232,16 @@ def test_large_coefficients_build_without_a_scan(n):
 def test_sign_changes_find_a_one_point_dip(c):
     p = parse_poly(f"(i - {c})^2 - 1")  # negative at i = c alone
     assert p.sign_changes(1) == [c, c + 1]
-    assert p.ge_from(0, 1) == (False, c)
-    assert p.ge_from(0, c + 1) == (True, None)
+    assert p.first_negative(1) == c
+    assert p.first_negative(c + 1) is None
 
 
 def test_sign_changes_of_a_degree_64_term():
     # (i + 1)^64 < 10^100 exactly for |i + 1| <= 36
     p = parse_poly("(i + 1)^64") - IntPoly.const(10**100)
     assert p.sign_changes(-100) == [-37, 36]
-    assert p.ge_from(0, -100) == (False, -37)
-    assert p.ge_from(0, 36) == (True, None)
+    assert p.first_negative(-100) == -37
+    assert p.first_negative(36) is None
 
 
 def test_divide_exact():

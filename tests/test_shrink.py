@@ -24,8 +24,8 @@ from toroshrink.shrink import (
     DOES_NOT_SHRINK,
     SHRINKS,
     UNKNOWN,
-    CertificateError,
     ShrinkVerdict,
+    VerdictConsistencyError,
     ancel_starbird,
     bounded_widths,
     convergent_tau_series,
@@ -36,11 +36,11 @@ from toroshrink.shrink import (
     sher_armentrout,
     verify_certificate,
     _alignments,
+    _geometric_fault,
     _geometric_verdict,
     _orbit_evidence,
     _OrbitPaths,
     _telescopes_numerically,
-    _validate_geometric,
 )
 
 PURE_BING = PeriodicSequence(((2, 1),))
@@ -157,11 +157,8 @@ def _fraction_window_probe(seq):
         r = max(taus[i0 - 1:])
         if r >= 1:
             continue
-        try:
-            _validate_geometric(seq, r, i0)
-        except CertificateError:
-            continue
-        return r, i0
+        if _geometric_fault(seq, r, i0) is None:
+            return r, i0
     return None
 
 
@@ -206,7 +203,7 @@ def _branch(draw, regime, start):
             + ((draw(st.integers(1, 3)),) if dq >= 0 else ())
         )
         n = m.scaled(2) + (q if regime == "to_one_above" else -q)
-        assume(n.ge_from(1, start)[0])
+        assume((n - IntPoly.const(1)).first_negative(start) is None)
         return n, m
     if regime == "to_zero":
         dn, a = draw(st.integers(0, dm - 1)), draw(st.integers(1, 6))
@@ -217,7 +214,8 @@ def _branch(draw, regime, start):
     else:
         dn, a = dm + draw(st.integers(1, 2)), draw(st.integers(1, 3))
     n = IntPoly(tuple(draw(st.integers(-6, 40)) for _ in range(dn)) + (a,))
-    while not n.ge_from(1, start)[0]:  # raise the constant term; a stays
+    # raise the constant term until n >= 1 from start on; a stays
+    while (n - IntPoly.const(1)).first_negative(start) is not None:
         n = n + IntPoly.const(1)
     return n, m
 
@@ -704,6 +702,34 @@ def test_decide_explicit_unknown():
     v = decide(ExplicitSequence(((3, 1),)))
     assert v.outcome == UNKNOWN
     assert v.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "run, seq",
+    [
+        (decide, PURE_BING),
+        (decide, PURE_WHITEHEAD),
+        (orbit_decide, PURE_BING),
+        (orbit_decide, PURE_WHITEHEAD),
+        (ancel_starbird, GapSequence.periodic([1])),
+    ],
+    ids=["decide-bing", "decide-whitehead", "orbit-bing", "orbit-whitehead", "gaps"],
+)
+def test_disagreeing_criteria_raise(monkeypatch, run, seq):
+    # a periodic product with the other outcome contradicts every criterion
+    # that proves the same verdict
+    from toroshrink import shrink
+
+    original = shrink.periodic_product
+    other = {SHRINKS: DOES_NOT_SHRINK, DOES_NOT_SHRINK: SHRINKS}
+
+    def flipped(s):
+        v = original(s)
+        return None if v is None else dataclasses.replace(v, outcome=other[v.outcome])
+
+    monkeypatch.setattr(shrink, "periodic_product", flipped)
+    with pytest.raises(VerdictConsistencyError, match="contradictory verdicts"):
+        run(seq)
 
 
 # -- certificate verification ------------------------------------------------------
@@ -1235,17 +1261,32 @@ def test_certificate_bytes_cover_every_case():
         assert sorted(json.load(fh)) == sorted(CERTIFICATE_CASES)
 
 
-def test_decide_runs_the_automatic_convergence_check_once(monkeypatch):
+def _count_calls(monkeypatch, name) -> list:
+    """The sequences shrink.<name> is called with, recorded from now on."""
     from toroshrink import shrink
 
     calls = []
-    original = shrink.convergent_tau_series
+    original = getattr(shrink, name)
 
     def counting(seq):
         calls.append(seq)
         return original(seq)
 
-    monkeypatch.setattr(shrink, "convergent_tau_series", counting)
+    monkeypatch.setattr(shrink, name, counting)
+    return calls
+
+
+def test_decide_runs_the_automatic_convergence_check_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "convergent_tau_series")
     v = decide(_generator("3", "1"))
     assert v.criterion == "bounded_widths"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seq", [PURE_BING, PURE_WHITEHEAD], ids=["bing", "whitehead"])
+def test_decide_runs_the_periodic_product_once(monkeypatch, seq):
+    calls = _count_calls(monkeypatch, "periodic_product")
+    v = decide(seq)
+    assert v.criterion == "periodic_product"
+    assert ("orbit_periodic", v.outcome) in v.corroborating
     assert len(calls) == 1
