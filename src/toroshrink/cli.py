@@ -127,10 +127,7 @@ def cmd_milnor(args) -> int:
     if args.index is not None:
         indices = [_parse_index(args.index)]
     elif args.all_upto_length is not None:
-        labels = (
-            link.component_labels if isinstance(link, PDCode) else link.labels
-        )
-        indices = list(all_multi_indices(tuple(labels), args.all_upto_length))
+        indices = list(all_multi_indices(link.component_labels, args.all_upto_length))
     else:
         raise MilnorError("give --index or --all-upto-length")
     lines = []

@@ -24,6 +24,10 @@ picture)::
     positive:  under a -> c, over d -> b
     negative:  under a -> c, over b -> d
 
+The over strand of a component of two edges fits both directions; the
+reader orients it from the component's other crossing, where it passes
+under, and refuses a component that is over at both of its crossings.
+
 An annotation ``% component 3: -`` declares a crossingless (split unknot)
 component.  Component labels must be contiguous and start at 0 or at 1;
 label 0 marks the distinguished unknotted component used in decomposition
@@ -157,75 +161,51 @@ class PDCode:
                 self._next[e] = es[(i + 1) % len(es)]
                 self._component_of[e] = label
 
-        # Orientation consistency and crossing signs.  The under strand is
-        # oriented a -> c by convention; the over strand direction must agree
-        # with the traversal order.  A short two-edge component makes both
-        # directions locally next-consistent, so ambiguous crossings are
-        # resolved globally: every edge arrives at exactly one crossing and
-        # departs from exactly one.
-        arrivals: dict[int, int] = {e: 0 for e in edges}
-        departures: dict[int, int] = {e: 0 for e in edges}
+        self._sign, self._over_in = self._orientation()
+        self._arcs_cache: tuple[dict[int, int], int] | None = None
+
+    def _orientation(self) -> tuple[list[int], list[int]]:
+        """(sign, incoming over edge) of each crossing.
+
+        Along its component every edge e hands over to ``_next[e]`` at
+        exactly one crossing.  The under strand hands over a -> c, the over
+        strand d -> b (a positive crossing) or b -> d (negative).  Both
+        directions fit an over strand only on a component of two edges (or
+        of one, b == d).  Such a component has four edge ends, so it meets
+        one other strand: an under strand, which placed one of the two
+        hand-overs and leaves this one the other, or an over strand that
+        fits both ways too, which leaves the direction ambiguous.
+        """
         for a, b, c, d in self.crossings:
             if self._next[a] != c:
                 raise PDError(
                     f"inconsistent orientation: under strand {a}->{c} does not "
                     f"follow the traversal order"
                 )
-            arrivals[a] += 1
-            departures[c] += 1
-
-        over_dir: list[int | None] = []  # +1: d->b, -1: b->d
+        fits = []  # incoming edges of the over hand-overs the traversal allows
         for a, b, c, d in self.crossings:
-            d_to_b = self._next[d] == b
-            b_to_d = self._next[b] == d
-            if not d_to_b and not b_to_d:
+            ins = [e for e, f in ((d, b), (b, d)) if self._next[e] == f]
+            if not ins:
                 raise PDError(
                     f"inconsistent orientation at crossing X[{a},{b},{c},{d}]: "
                     f"over strand matches neither traversal direction"
                 )
-            if d_to_b and b_to_d:
-                over_dir.append(None)
-            else:
-                over_dir.append(1 if d_to_b else -1)
-                over_in, over_out = (d, b) if d_to_b else (b, d)
-                arrivals[over_in] += 1
-                departures[over_out] += 1
-
-        changed = True
-        while changed:
-            changed = False
-            for i, direction in enumerate(over_dir):
-                if direction is not None:
-                    continue
-                a, b, c, d = self.crossings[i]
-                can_db = arrivals[d] == 0 and departures[b] == 0
-                can_bd = arrivals[b] == 0 and departures[d] == 0
-                if not can_db and not can_bd:
-                    raise PDError(
-                        f"inconsistent orientation at crossing X[{a},{b},{c},{d}]"
-                    )
-                if can_db != can_bd:
-                    over_dir[i] = 1 if can_db else -1
-                    over_in, over_out = (d, b) if can_db else (b, d)
-                    arrivals[over_in] += 1
-                    departures[over_out] += 1
-                    changed = True
-        if any(direction is None for direction in over_dir):
-            raise PDError(
-                "over strand directions are globally ambiguous; "
-                "add component annotations or renumber the arcs"
-            )
-        if any(v != 1 for v in arrivals.values()) or any(
-            v != 1 for v in departures.values()
-        ):
+            fits.append(ins)
+        under_in = {x[0] for x in self.crossings}
+        over_in = []
+        for ins in fits:
+            if len(ins) == 2:
+                ins = [e for e in ins if e not in under_in]
+            if len(ins) != 1:  # both hand-overs free, or b == d
+                raise PDError(
+                    "over strand directions are globally ambiguous; "
+                    "add component annotations or renumber the arcs"
+                )
+            over_in.append(ins[0])
+        if len(under_in.union(over_in)) < 2 * len(self.crossings):
             raise PDError("inconsistent orientation data: edge used twice one way")
-
-        self._sign = [1 if direction == 1 else -1 for direction in over_dir]
-        self._over_in = [
-            (x[3] if s == 1 else x[1]) for x, s in zip(self.crossings, self._sign)
-        ]
-
-        self._arcs_cache: tuple[dict[int, int], int] | None = None
+        signs = [1 if e == x[3] else -1 for x, e in zip(self.crossings, over_in)]
+        return signs, over_in
 
     def _infer_components(self, edges: list[int]):
         pairs = [p for a, b, c, d in self.crossings for p in ((a, c), (b, d))]
@@ -325,14 +305,12 @@ def parse_pd(text: str) -> PDCode:
     """Parse the PD text format; raises :class:`PDError` with the offending token."""
     crossings = []
     annotations: list[tuple[int, tuple[int, ...]]] = []
-    saw_annotation = False
     for raw_line in text.splitlines() or [""]:
         line = raw_line.strip()
         if not line:
             continue
         m = _ANNOTATION.match(line)
         if m:
-            saw_annotation = True
             label = int(m.group(1))
             body = m.group(2).strip()
             if body in ("-", ""):
@@ -351,7 +329,7 @@ def parse_pd(text: str) -> PDCode:
             crossings.append(tuple(int(g) for g in m.groups()))
     if not crossings and not annotations:
         raise PDError("empty diagram")
-    return PDCode(crossings, annotations if saw_annotation else None)
+    return PDCode(crossings, annotations or None)
 
 
 def format_pd(pd: PDCode) -> str:
@@ -592,6 +570,10 @@ class LinkPresentation:
     @property
     def n_components(self) -> int:
         return len(self.labels)
+
+    @property
+    def component_labels(self) -> tuple[int, ...]:
+        return self.labels
 
     def __hash__(self):
         return self._hash

@@ -210,21 +210,17 @@ def longitude_word(link: LinkData, component: int, q: int) -> Word:
     raise TypeError(f"not link data: {link!r}")
 
 
-def _labels(link: LinkData) -> tuple[int, ...]:
-    return link.component_labels if isinstance(link, PDCode) else link.labels
-
-
 def mu(link: LinkData, index: tuple[int, ...]) -> int:
     """The Magnus coefficient mu_I of the link."""
     index = tuple(index)
-    _check_index(_labels(link), index)
+    _check_index(link.component_labels, index)
     return _mu(link, index)
 
 
 def delta(link: LinkData, index: tuple[int, ...]) -> int:
     """GCD indeterminacy Delta_I; 0 means integer valued."""
     index = tuple(index)
-    _check_index(_labels(link), index)
+    _check_index(link.component_labels, index)
     return _delta(link, index)
 
 

@@ -479,10 +479,11 @@ def orbit_decide(
     either decision.  A two-case generator whose aligned two-step
     composite telescopes to k -> k - 1 also shrinks.  Anything else is
     reported Unknown with orbit evidence; horizon exhaustion is flagged
-    separately from a decision.
+    separately from a decision.  The horizons shape only that evidence: a
+    decision and its certificate are the same whatever they are.
     """
     _check_horizons(k_max, m_max, p_max)
-    proof = _orbit_proof(seq, k_max)
+    proof = _orbit_proof(seq)
     if proof is None:
         return _evidence_verdict(seq, k_max, m_max, p_max)
     return _corroborated(proof, [periodic_product(seq)])
@@ -493,12 +494,12 @@ def _check_horizons(k_max: int, m_max: int, p_max: int) -> None:
         raise ValueError("horizons must be >= 1")
 
 
-def _orbit_proof(seq: LinkSequence, k_max: int) -> Optional[ShrinkVerdict]:
+def _orbit_proof(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     """The orbit decision of a periodic variant, or the telescoping pairs
     of a two-case generator; None when neither applies."""
     period = seq.one_period
     if period is not None:
-        return _decide_periodic_orbits(seq, period, k_max)
+        return _decide_periodic_orbits(seq, period)
     if isinstance(seq, GeneratorSequence) and seq.two_case:
         return _telescoping_certificate(seq)
     return None
@@ -666,16 +667,17 @@ def _spec_check_bound(period: Period) -> int:
     return max(1, min(bound, 100_000))
 
 
-def _decide_periodic_orbits(seq, period: Period, k_max) -> ShrinkVerdict:
+def _decide_periodic_orbits(seq, period: Period) -> ShrinkVerdict:
     a = period.slope
     if a <= 1:
-        k_star = min(max(_spec_check_bound(period), k_max), _DESCENT_CHECK_MAX)
+        # the default horizon, not the caller's: horizons shape only Unknown evidence
+        k_star = min(max(_spec_check_bound(period), DEFAULT_K_MAX), _DESCENT_CHECK_MAX)
         k = period.ascent(k_star)
         if k is not None:
             raise VerdictConsistencyError(
                 f"slope {a} <= 1 but the period composite does not descend at {k}"
             )
-        trace = _trace_orbit(period.pairs, min(k_max, 8))
+        trace = _trace_orbit(period.pairs, 8)
         cert = {
             "kind": "orbit_periodic",
             "slope": str(a),
@@ -802,7 +804,7 @@ def decide(
             _bounded_widths(seq, convergent, divergent),
             convergent,
             divergent,
-            _orbit_proof(seq, k_max),
+            _orbit_proof(seq),
         )
         if v is not None
     ]

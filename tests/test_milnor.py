@@ -7,6 +7,7 @@ import pytest
 from toroshrink.freegroup import commutator, parse_word
 from toroshrink.linkio import (
     LinkPresentation,
+    PDCode,
     bing_axis_pd,
     builtin,
     parse_pd,
@@ -251,8 +252,8 @@ def test_word_coefficient_matches_full_expansion_on_longitudes(name):
     # every monomial of length <= q in the longitude words for class q <= 5
     # (a presentation has one word per component, whatever its valid class)
     link = ORACLE_LINKS[name]
-    diagram = hasattr(link, "component_labels")
-    labels = link.component_labels if diagram else link.labels
+    diagram = isinstance(link, PDCode)
+    labels = link.component_labels
     top = 5 if diagram else min(5, link.valid_class)
     for component in labels:
         for q in range(2, 6):
@@ -266,10 +267,6 @@ def test_word_coefficient_matches_full_expansion_on_longitudes(name):
             if q <= top:
                 for head in itertools.product(labels, repeat=q - 1):
                     assert mu(link, head + (component,)) == series.coefficient(head)
-
-
-def _link_labels(link):
-    return link.component_labels if hasattr(link, "component_labels") else link.labels
 
 
 # zero-framed words that are no link's longitudes: their mu is not
@@ -295,7 +292,7 @@ def test_delta_matches_literal_gcd_up_to_length_six(name):
     valid_class = getattr(link, "valid_class", None)
     top = 6 if valid_class is None else min(6, valid_class + 1)
     mus = {}
-    for index in all_multi_indices(_link_labels(link), top):
+    for index in all_multi_indices(link.component_labels, top):
         g = 0
         for sub in _brute_force_subindices(index):
             if sub not in mus:
@@ -317,7 +314,7 @@ def test_memo_gives_the_same_records_in_any_order():
     calls = [
         (link, index)
         for link in links
-        for index in all_multi_indices(_link_labels(link), 5)
+        for index in all_multi_indices(link.component_labels, 5)
     ]
     expected = {}
     for link in links:

@@ -407,6 +407,21 @@ def test_orbit_decide_rejects_bad_horizons():
         orbit_decide(PURE_BING, k_max=0)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        PeriodicSequence(((2, 1), (3, 1))),
+        EventuallyPeriodicSequence(prefix=((2, 1), (7, 3)), tail=((1, 1), (3, 2))),
+    ],
+)
+def test_orbit_decision_does_not_depend_on_the_horizons(seq):
+    # the horizons bound the Unknown evidence only: the descent check and
+    # the sample orbit of a decision are the same for every k_max
+    verdicts = [orbit_decide(seq, k_max=k) for k in (4, 64, 5000)]
+    assert verdicts[0].outcome != UNKNOWN
+    assert all(v == verdicts[0] for v in verdicts)
+
+
 def test_periodic_orbit_agreement_random():
     rng = random.Random(23)
     for _ in range(60):
