@@ -224,6 +224,7 @@ def cmd_shrink(args) -> int:
             "corroborating: "
             + ", ".join(f"{c} -> {o}" for c, o in verdict.corroborating)
         )
+    lines += [f"declined: {name}: {reason}" for name, reason in verdict.declined]
     if verdict.evidence:
         lines.append(f"evidence: {json.dumps(verdict.evidence, sort_keys=True)}")
     _emit(payload, args, lines)

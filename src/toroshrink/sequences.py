@@ -712,12 +712,8 @@ def _parse_link_entry(entry) -> NMLinkSpec:
         raise SequenceError(f"unknown link entry {entry!r}")
     if isinstance(entry, dict) and "nm" in entry:
         pair = entry["nm"]
-        if (
-            isinstance(pair, (list, tuple))
-            and len(pair) == 2
-            and isinstance(pair[0], int)
-            and isinstance(pair[1], int)
-        ):
+        # JSON true and false are ints in Python, but not link sizes
+        if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair):
             return NMLinkSpec(*pair)
         raise SequenceError(f"'nm' must be a pair of integers in link entry {entry!r}")
     raise SequenceError(f"bad link entry {entry!r}")
@@ -730,7 +726,7 @@ def _field(config: dict, key: str, where: str, kind):
         value = config[key]
     except KeyError:
         raise SequenceError(f"{where} is missing the key {key!r}") from None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # a bool is an int in Python
         raise SequenceError(f"{where} has {key!r} of the wrong type {type(value).__name__}")
     return value
 

@@ -20,8 +20,8 @@ symbolic certificate (periodic product, geometric ratio, term bound,
 ratio test, harmonic comparison, or a telescoping composite), validated
 against the sequence variant.  Every verdict carries its sequence (a gap
 verdict its `GapSequence`), and :func:`verify_certificate` re-checks the
-certificate against it.  Inputs outside the reach of every criterion
-yield an honest Unknown with orbit evidence.
+certificate against it.  A criterion that does not apply declines with a
+reason; when all decline, the verdict is an honest Unknown with orbit evidence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .drf import chain_orbit, chain_steps, chain_walk
 from .sequences import (
@@ -83,11 +83,14 @@ class VerdictConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShrinkVerdict:
+    """`declined` holds (criterion, reason) for each criterion that did not apply."""
+
     outcome: str
     criterion: str
     certificate: dict
     sequence: LinkSequence
     corroborating: tuple[tuple[str, str], ...] = ()
+    declined: tuple[tuple[str, str], ...] = ()
     evidence: dict | None = None
 
     @property
@@ -101,12 +104,12 @@ class ShrinkVerdict:
 # -- the periodic product criterion ----------------------------------------------
 
 
-def periodic_product(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def periodic_product(seq: LinkSequence) -> ShrinkVerdict | str:
     """Exact decision for (eventually) periodic sequences: shrinks iff the
     product of tau over one period is at least 1."""
     period = seq.one_period
     if period is None:
-        return None
+        return "no period"
     outcome = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
     cert = {
         "kind": "periodic_product",
@@ -122,7 +125,7 @@ def periodic_product(seq: LinkSequence) -> Optional[ShrinkVerdict]:
 # -- strictly expanding stages -----------------------------------------------------
 
 
-def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def sher_armentrout(seq: LinkSequence) -> ShrinkVerdict | str:
     """No-shrink when n_i < 2 m_i for every i.
 
     The hypothesis is checked finitely for the periodic variants and
@@ -132,21 +135,23 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     period = seq.one_period
     if period is not None:
         pairs = period.head + period.pairs
-        if all(n < two_m for n, two_m in pairs):
-            cert = {
-                "kind": "sher_armentrout",
-                "scope": "finite",
-                "checked": [[n, two_m // 2] for n, two_m in pairs],
-                "consequence": _EXPANSION_CONSEQUENCE,
-            }
-            return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
-        return None
+        index = next((i for i, (n, two_m) in enumerate(pairs, 1) if n >= two_m), 0)
+        if index:
+            return f"n >= 2m at index {index}"
+        cert = {
+            "kind": "sher_armentrout",
+            "scope": "finite",
+            "checked": [[n, two_m // 2] for n, two_m in pairs],
+            "consequence": _EXPANSION_CONSEQUENCE,
+        }
+        return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
     if isinstance(seq, GeneratorSequence):
         witness_data = []
         for b in seq.branches:
             margin = _expansion_margin(b)
-            if b.violation(margin) is not None:
-                return None
+            index = b.violation(margin)
+            if index is not None:
+                return f"n >= 2m at index {index}"
             witness_data.append({"branch": b.name, "margin": margin.text("s"), "from": b.first})
         cert = {
             "kind": "sher_armentrout",
@@ -155,10 +160,11 @@ def sher_armentrout(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             "consequence": _EXPANSION_CONSEQUENCE,
         }
         return ShrinkVerdict(DOES_NOT_SHRINK, "sher_armentrout", cert, seq)
-    return None
+    return _NO_CLOSED_FORM
 
 
 _EXPANSION_CONSEQUENCE = "every stage satisfies D(k) >= k for k >= 1"
+_NO_CLOSED_FORM = "neither periodic nor a generator"
 
 
 def _expansion_margin(b: Branch) -> IntPoly:
@@ -177,7 +183,7 @@ def _periodic_exact_sum(period: Period) -> Fraction:
     return sum(period.partials[:head], Fraction(0)) + tail
 
 
-def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def convergent_tau_series(seq: LinkSequence) -> ShrinkVerdict | str:
     """No-shrink from convergence of sum_j prod_{i<=j} tau_i.
 
     A geometric certificate is derived automatically
@@ -191,7 +197,9 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     from i0 on, branchwise, is the certificate.
     """
     period = seq.one_period
-    if period is not None and period.product < 1:
+    if period is not None and period.product >= 1:
+        return f"period product {period.product} >= 1"
+    if period is not None:
         total = _periodic_exact_sum(period)
         k0 = int(total) + 1
         cert = {
@@ -209,7 +217,7 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
         for b in seq.branches:
             margin = b.m.scaled(2) - b.n
             if margin.degree != b.m.degree or margin.coeffs[-1] <= 0:
-                return None
+                return "lim sup tau >= 1"
         starts = (1, 2, 4, 8)
         ratios = seq.link_pairs(1, starts[-1] + _PROBE - 1)  # (n_i, 2 m_i)
         for i0 in starts:
@@ -222,7 +230,8 @@ def convergent_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             r = Fraction(bn, bd)
             if _geometric_fault(seq, r, i0) is None:
                 return _geometric_verdict(seq, r, i0)
-    return None
+        return f"no probed r < 1 bounds tau from i0 in {starts}"
+    return _NO_CLOSED_FORM
 
 
 def _geometric_verdict(seq: LinkSequence, r: Fraction, i0: int) -> ShrinkVerdict:
@@ -269,7 +278,7 @@ def _geometric_bound(seq: LinkSequence, r: Fraction, i0: int):
 # -- divergence of the weighted series ----------------------------------------------
 
 
-def divergent_weighted_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def divergent_weighted_tau_series(seq: LinkSequence) -> ShrinkVerdict | str:
     """Shrink verdict from divergence of sum_j (1/n_j) prod_{i<=j} tau_i.
 
     A periodic sequence with period product >= 1 has no partial product
@@ -281,7 +290,7 @@ def divergent_weighted_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
     period = seq.one_period
     if period is not None:
         if period.product < 1:
-            return None
+            return f"period product {period.product} < 1"
         n_max = _sup_widths(seq)
         cert = {
             "kind": "divergent_weighted_tau_series",
@@ -290,15 +299,17 @@ def divergent_weighted_tau_series(seq: LinkSequence) -> Optional[ShrinkVerdict]:
             "term_floor": str(min(period.partials) / n_max),
             "n_max": n_max,
         }
-    elif isinstance(seq, GeneratorSequence) and _harmonic_floor_fault(seq) is None:
+    elif not isinstance(seq, GeneratorSequence):
+        return _NO_CLOSED_FORM
+    elif fault := _harmonic_floor_fault(seq):
+        return fault
+    else:
         cert = {
             "kind": "divergent_weighted_tau_series",
             "method": "harmonic_comparison",
             "c": str(Fraction(1, _sup_widths(seq))),
             "i0": 1,
         }
-    else:
-        return None
     return ShrinkVerdict(SHRINKS, "divergent_weighted_tau_series", cert, seq)
 
 
@@ -316,28 +327,24 @@ def _harmonic_floor_fault(seq: GeneratorSequence) -> Optional[str]:
 # -- bounded widths: the two-sided criterion ------------------------------------------
 
 
-def bounded_widths(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def bounded_widths(seq: LinkSequence) -> ShrinkVerdict | str:
     """When sup n_i < infinity the tau series decides both ways: shrinks
     iff sum prod tau diverges."""
-    if _sup_widths(seq) is None:
-        return None
-    convergent = convergent_tau_series(seq)
-    divergent = divergent_weighted_tau_series(seq) if convergent is None else None
-    return _bounded_widths(seq, convergent, divergent)
+    return _bounded_widths(seq, convergent_tau_series(seq), divergent_weighted_tau_series(seq))
 
 
-def _bounded_widths(seq, convergent, divergent) -> Optional[ShrinkVerdict]:
-    """The bounded-widths verdict read off the automatic verdicts of the
-    two tau-series criteria."""
+def _bounded_widths(seq, convergent, divergent) -> ShrinkVerdict | str:
+    """The bounded-widths verdict read off the results of the two
+    tau-series criteria."""
     sup_n = _sup_widths(seq)
     if sup_n is None:
-        return None
-    if convergent is not None:
+        return "sup n_i is not known to be finite"
+    if isinstance(convergent, ShrinkVerdict):
         inner, outcome, decision = convergent, DOES_NOT_SHRINK, "tau series converges"
-    elif divergent is not None:
+    elif isinstance(divergent, ShrinkVerdict):
         inner, outcome, decision = divergent, SHRINKS, "tau series diverges"
     else:
-        return None
+        return "neither tau series is certified"
     cert = {
         "kind": "bounded_widths",
         "sup_n": sup_n,
@@ -482,33 +489,19 @@ def orbit_decide(
     separately from a decision.  The horizons shape only that evidence: a
     decision and its certificate are the same whatever they are.
     """
-    _check_horizons(k_max, m_max, p_max)
-    proof = _orbit_proof(seq)
-    if proof is None:
-        return _evidence_verdict(seq, k_max, m_max, p_max)
-    return _corroborated(proof, [periodic_product(seq)])
+    rows = [("orbit_proof", _orbit_proof(seq)), ("periodic_product", periodic_product(seq))]
+    return _conclude(seq, rows, k_max, m_max, p_max)
 
 
-def _check_horizons(k_max: int, m_max: int, p_max: int) -> None:
-    if k_max < 1 or m_max < 1 or p_max < 1:
-        raise ValueError("horizons must be >= 1")
-
-
-def _orbit_proof(seq: LinkSequence) -> Optional[ShrinkVerdict]:
+def _orbit_proof(seq: LinkSequence) -> ShrinkVerdict | str:
     """The orbit decision of a periodic variant, or the telescoping pairs
-    of a two-case generator; None when neither applies."""
+    of a two-case generator."""
     period = seq.one_period
     if period is not None:
         return _decide_periodic_orbits(seq, period)
     if isinstance(seq, GeneratorSequence) and seq.two_case:
         return _telescoping_certificate(seq)
-    return None
-
-
-def _evidence_verdict(seq: LinkSequence, k_max: int, m_max: int, p_max: int) -> ShrinkVerdict:
-    cert = {"kind": "orbit_evidence", "horizons": [k_max, m_max, p_max]}
-    evidence = _orbit_evidence(seq, k_max, m_max, p_max)
-    return ShrinkVerdict(UNKNOWN, "orbit_evidence", cert, seq, evidence=evidence)
+    return "neither periodic nor a two-case generator"
 
 
 def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
@@ -714,7 +707,7 @@ def _trace_orbit(pairs, k: int) -> list[int]:
     return values
 
 
-def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
+def _telescoping_certificate(seq: GeneratorSequence) -> ShrinkVerdict | str:
     """Check both pair alignments for a two-step composite of k -> k - 1."""
     for label, (first, second) in _alignments(seq).items():
         c_poly = _pair_slope(first, second)
@@ -730,7 +723,7 @@ def _telescoping_certificate(seq: GeneratorSequence) -> Optional[ShrinkVerdict]:
             "conclusion": _TELESCOPING_CONCLUSION,
         }
         return ShrinkVerdict(SHRINKS, "telescoping_pairs", cert, seq)
-    return None
+    return "no pair alignment telescopes to k -> k - 1"
 
 
 _TELESCOPING_CHECK = (
@@ -790,40 +783,47 @@ def decide(
     m_max: int = DEFAULT_M_MAX,
     p_max: int = DEFAULT_P_MAX,
 ) -> ShrinkVerdict:
-    """Run every applicable criterion, enforce agreement, and return the
-    first verdict in the order below, corroborated by the others (Unknown
-    with orbit evidence when nothing fires)."""
-    _check_horizons(k_max, m_max, p_max)
+    """Run every applicable criterion, the gap criterion on a `GapSequence`
+    included, enforce agreement, and return the first verdict in the order
+    below, corroborated by the others (Unknown with orbit evidence when
+    every criterion declines, each with its reason)."""
     convergent = convergent_tau_series(seq)
     divergent = divergent_weighted_tau_series(seq)
-    verdicts = [
-        v
-        for v in (
-            periodic_product(seq),
-            sher_armentrout(seq),
-            _bounded_widths(seq, convergent, divergent),
-            convergent,
-            divergent,
-            _orbit_proof(seq),
-        )
-        if v is not None
+    rows = [
+        ("periodic_product", periodic_product(seq)),
+        ("sher_armentrout", sher_armentrout(seq)),
+        ("bounded_widths", _bounded_widths(seq, convergent, divergent)),
+        ("convergent_tau_series", convergent),
+        ("divergent_weighted_tau_series", divergent),
+        ("orbit_proof", _orbit_proof(seq)),
+        ("ancel_starbird", "not a gap sequence" if not isinstance(seq, GapSequence)
+         else "gap tail is undeclared" if seq.kind == "explicit" else ancel_starbird(seq)),
     ]
-    if not verdicts:
-        return _evidence_verdict(seq, k_max, m_max, p_max)
-    return _corroborated(verdicts[0], verdicts[1:])
+    return _conclude(seq, rows, k_max, m_max, p_max)
 
 
-def _corroborated(
-    primary: ShrinkVerdict, others: Iterable[Optional[ShrinkVerdict]]
-) -> ShrinkVerdict:
-    """primary, corroborated by every verdict of others that is not None;
-    any of them with another outcome is an internal contradiction."""
-    others = [v for v in others if v is not None]
+def _conclude(seq, rows, k_max: int, m_max: int, p_max: int) -> ShrinkVerdict:
+    """The first verdict of rows, (criterion, verdict or reason) pairs, corroborated
+    by the others; Unknown with orbit evidence when every row declines."""
+    if k_max < 1 or m_max < 1 or p_max < 1:
+        raise ValueError("horizons must be >= 1")
+    verdicts = [v for _, v in rows if isinstance(v, ShrinkVerdict)]
+    declined = tuple((name, v) for name, v in rows if isinstance(v, str))
+    if verdicts:
+        return _corroborated(verdicts[0], verdicts[1:], declined)
+    cert = {"kind": "orbit_evidence", "horizons": [k_max, m_max, p_max]}
+    evidence = _orbit_evidence(seq, k_max, m_max, p_max)
+    return ShrinkVerdict(UNKNOWN, "orbit_evidence", cert, seq, declined=declined, evidence=evidence)
+
+
+def _corroborated(primary: ShrinkVerdict, others: list, declined=()) -> ShrinkVerdict:
+    """primary, corroborated by every verdict of others, with the declined
+    rows; any of others with another outcome is an internal contradiction."""
     if any(v.outcome != primary.outcome for v in others):
         verdicts = [(v.criterion, v.outcome) for v in (primary, *others)]
         raise VerdictConsistencyError(f"contradictory verdicts: {verdicts}")
     corroborating = tuple((v.criterion, v.outcome) for v in others)
-    return dataclasses.replace(primary, corroborating=corroborating)
+    return dataclasses.replace(primary, corroborating=corroborating, declined=declined)
 
 
 # -- certificate re-checking ------------------------------------------------------------

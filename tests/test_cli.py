@@ -201,6 +201,27 @@ def test_shrink_decide_json_deterministic(tmp_path, capsys):
     assert payload["certificate_verified"] is True
 
 
+def test_shrink_decide_text_lists_each_declined_criterion(tmp_path, capsys):
+    # n = i, m = 1: every criterion declines; the JSON output keeps its keys
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"variant": "generator", "n": "i", "m": "1"}), encoding="utf-8")
+    code, out, _ = run(capsys, "shrink", "decide", "--config", str(path), "--horizon", "8,2,50")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("declined: ")] == [
+        "declined: periodic_product: no period",
+        "declined: sher_armentrout: n >= 2m at index 2",
+        "declined: bounded_widths: sup n_i is not known to be finite",
+        "declined: convergent_tau_series: lim sup tau >= 1",
+        "declined: divergent_weighted_tau_series: harmonic floors need bounded widths n_i",
+        "declined: orbit_proof: neither periodic nor a two-case generator",
+        "declined: ancel_starbird: not a gap sequence",
+    ]
+    argv = ["--horizon", "8,2,50", "--format", "json", "--deterministic"]
+    code, out, _ = run(capsys, "shrink", "decide", "--config", str(path), *argv)
+    assert code == 2
+    assert "declined" not in json.loads(out)
+
+
 def test_shrink_generator_config(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(
@@ -343,6 +364,9 @@ def test_shrink_decide_missing_key_exits_three(tmp_path, capsys, cfg, key):
         ({"variant": "generator", "n": None, "m": "1"}, "n"),
         ({"variant": "eventually_periodic", "prefix": 5, "period": ["bing"]}, "prefix"),
         ({"variant": "explicit", "links": [{"nm": 5}]}, "nm"),
+        # JSON true is an int to Python, but not a link size or a term
+        ({"variant": "periodic", "links": [{"nm": [True, 1]}]}, "nm"),
+        ({"variant": "generator", "n": True, "m": "1"}, "n"),
     ],
 )
 def test_shrink_decide_mistyped_field_exits_three(tmp_path, capsys, cfg, key):

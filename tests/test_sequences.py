@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toroshrink.drf import NMLinkSpec, chain_steps, compose, nm_drf
 from toroshrink.sequences import (
@@ -185,16 +185,21 @@ def _flips(p: IntPoly, candidates, i_min: int) -> list[int]:
     ),
     i_min=st.integers(-60, 60),
 )
+# the larger root lies 10^-9 below 1207959551, where sympy.floor of the
+# algebraic root rounds up; the flip at 1207959551 must still be a candidate
+@example(coeffs=[1, -1207959551, 1], i_min=0)
 def test_first_negative_matches_sympy_real_roots(coeffs, i_min):
     # p < 0 turns on or off at i only if a real root r lies in [i-1, i],
-    # so i is floor(r) + 1 or ceil(r): the only integers worth evaluating
+    # so i is floor(r) + 1 or ceil(r): the only integers worth evaluating.
+    # Each root is taken as an exact rational interval [a, b] of width
+    # <= 1/2, and every integer from floor(a) to ceil(b) + 1 is a candidate.
     import sympy
 
     p = IntPoly(tuple(coeffs))
     x = sympy.Symbol("x")
     candidates = [i_min]
-    for r in sympy.Poly(coeffs[::-1], x).real_roots():
-        candidates += [int(sympy.floor(r)) + 1, int(sympy.ceiling(r))]
+    for (a, b), _ in sympy.Poly(coeffs[::-1], x).intervals(eps=sympy.Rational(1, 2)):
+        candidates += range(int(sympy.floor(a)), int(sympy.ceiling(b)) + 2)
     assert p.sign_changes(i_min) == _flips(p, candidates, i_min)
     violations = sorted(c for c in candidates if c >= i_min and p(c) < 0)
     assert p.first_negative(i_min) == (violations[0] if violations else None)

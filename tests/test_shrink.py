@@ -83,7 +83,7 @@ def test_periodic_product_eventually_periodic_uses_tail():
 
 
 def test_periodic_product_silent_on_generators():
-    assert periodic_product(EXAMPLE_55) is None
+    assert periodic_product(EXAMPLE_55) == "no period"
 
 
 # -- strictly expanding stages ------------------------------------------
@@ -101,11 +101,11 @@ def test_sher_armentrout_pure_whitehead():
 
 
 def test_sher_armentrout_silent_on_pure_bing():
-    assert sher_armentrout(PURE_BING) is None
+    assert sher_armentrout(PURE_BING) == "n >= 2m at index 1"
 
 
 def test_sher_armentrout_silent_on_explicit_tail():
-    assert sher_armentrout(ExplicitSequence(((1, 1), (1, 2)))) is None
+    assert sher_armentrout(ExplicitSequence(((1, 1), (1, 2)))) == "neither periodic nor a generator"
 
 
 # -- convergent tau series ----------------------------------------------
@@ -128,7 +128,7 @@ def test_convergent_series_whitehead_bing_mix():
 
 
 def test_convergent_series_silent_on_pure_bing():
-    assert convergent_tau_series(PURE_BING) is None
+    assert convergent_tau_series(PURE_BING) == "period product 1 >= 1"
 
 
 def test_convergent_series_generator_with_decaying_tau():
@@ -140,10 +140,13 @@ def test_convergent_series_generator_with_decaying_tau():
 
 def test_convergent_series_silent_on_example_55():
     # tau_i = i/(i+1) increases toward 1: no geometric ratio exists
-    assert convergent_tau_series(EXAMPLE_55) is None
+    assert convergent_tau_series(EXAMPLE_55) == "lim sup tau >= 1"
 
 
 # -- the automatic geometric ratio for generators, against its oracle ----
+
+
+NO_PROBED_RATIO = "no probed r < 1 bounds tau from i0 in (1, 2, 4, 8)"
 
 
 def _fraction_window_probe(seq):
@@ -245,7 +248,8 @@ def test_auto_convergent_matches_fraction_window_probe(case):
     expected = _fraction_window_probe(plain)
     got = convergent_tau_series(counted)
     if expected is None:
-        assert got is None
+        # a window search runs only when the limit guard passes
+        assert got == (NO_PROBED_RATIO if limit_below_one else "lim sup tau >= 1")
     else:
         assert got.certificate == _geometric_verdict(plain, *expected).certificate
     # the limit guard is exact: it reads no link precisely when some branch
@@ -259,7 +263,7 @@ def test_auto_convergent_matches_fraction_window_probe(case):
 def test_auto_convergent_reads_no_link_when_tau_tends_to_one(n):
     # 2m - n is the constant -+1: its leading coefficient alone says nothing
     seq = _CountingGenerator(n_poly=parse_poly(n), m_poly=parse_poly("i"))
-    assert convergent_tau_series(seq) is None
+    assert convergent_tau_series(seq) == "lim sup tau >= 1"
     assert seq.reads == []
 
 
@@ -302,7 +306,7 @@ def test_divergent_series_harmonic_on_constant_widths():
 
 
 def test_divergent_series_rejects_example_56():
-    assert divergent_weighted_tau_series(EXAMPLE_56) is None
+    assert divergent_weighted_tau_series(EXAMPLE_56) == "harmonic floors need bounded widths n_i"
 
 
 # -- bounded widths --------------------------------------------------------
@@ -319,7 +323,7 @@ def test_bounded_widths_pure_22():
 
 
 def test_bounded_widths_inapplicable_when_unbounded():
-    assert bounded_widths(EXAMPLE_55) is None
+    assert bounded_widths(EXAMPLE_55) == "sup n_i is not known to be finite"
 
 
 # -- mixed Bing-Whitehead ----------------------------------------------------
@@ -1161,7 +1165,8 @@ def test_raising_tau_preserves_divergence_certificate():
         base = [(rng.randrange(1, 7), rng.randrange(1, 4)) for _ in range(p)]
         seq_b = PeriodicSequence(tuple(base))
         v = divergent_weighted_tau_series(seq_b)
-        if v is None:
+        if isinstance(v, str):
+            assert v == f"period product {seq_b.one_period.product} < 1"
             continue
         floor = Fraction(v.certificate["term_floor"])
         raised = [
@@ -1169,7 +1174,7 @@ def test_raising_tau_preserves_divergence_certificate():
         ]  # lower m -> raise tau
         seq_a = PeriodicSequence(tuple(raised))
         w = divergent_weighted_tau_series(seq_a)
-        assert w is not None and w.outcome == SHRINKS
+        assert isinstance(w, ShrinkVerdict) and w.outcome == SHRINKS
         assert Fraction(w.certificate["term_floor"]) >= floor
 
 
@@ -1274,6 +1279,111 @@ def test_certificate_bytes_unchanged(name):
 def test_certificate_bytes_cover_every_case():
     with open(CERTIFICATE_DATA, encoding="utf-8") as fh:
         assert sorted(json.load(fh)) == sorted(CERTIFICATE_CASES)
+
+
+# -- declined criteria ------------------------------------------------------------------
+
+_GENERATOR_DECLINES = (
+    ("periodic_product", "no period"),
+    ("sher_armentrout", "n >= 2m at index 2"),
+    ("bounded_widths", "sup n_i is not known to be finite"),
+    ("convergent_tau_series", "lim sup tau >= 1"),
+    ("divergent_weighted_tau_series", "harmonic floors need bounded widths n_i"),
+)
+DECLINED_CASES = {
+    "orbit_evidence_generator": (
+        CERTIFICATE_CASES["orbit_evidence_generator"],
+        (
+            ("periodic_product", "no period"),
+            ("sher_armentrout", "n >= 2m at index 1"),
+            *_GENERATOR_DECLINES[2:],
+            ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    "orbit_evidence_two_case": (
+        CERTIFICATE_CASES["orbit_evidence_two_case"],
+        (
+            *_GENERATOR_DECLINES,
+            ("orbit_proof", "no pair alignment telescopes to k -> k - 1"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    "orbit_evidence_explicit": (
+        CERTIFICATE_CASES["orbit_evidence_explicit"],
+        (
+            ("periodic_product", "no period"),
+            ("sher_armentrout", "neither periodic nor a generator"),
+            ("bounded_widths", "sup n_i is not known to be finite"),
+            ("convergent_tau_series", "neither periodic nor a generator"),
+            ("divergent_weighted_tau_series", "neither periodic nor a generator"),
+            ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    "n_i_m_1": (
+        lambda: decide(_generator("i", "1"), k_max=8, m_max=2, p_max=50),
+        (
+            *_GENERATOR_DECLINES,
+            ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    # a decided verdict lists the criteria that declined around its own
+    "example_55": (
+        lambda: decide(EXAMPLE_55),
+        (
+            ("periodic_product", "no period"),
+            *_GENERATOR_DECLINES[2:],
+            ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    "orbit_decide_example_55": (
+        lambda: orbit_decide(EXAMPLE_55, k_max=8, m_max=2, p_max=50),
+        (
+            ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("periodic_product", "no period"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLINED_CASES))
+def test_verdict_lists_the_declined_criteria_in_order(name):
+    make, expected = DECLINED_CASES[name]
+    assert make().declined == expected
+
+
+# the gap sequences this module builds, one or more of each kind
+GAP_SEQUENCES = [
+    GapSequence.periodic([1]),
+    GapSequence.periodic([0]),
+    GapSequence.periodic([2, 0, 1]),
+    GapSequence.from_poly("0"),
+    GapSequence.from_poly("i"),
+    GapSequence.from_poly("i^2+1"),
+    GapSequence.two_pow(),
+    GapSequence.two_pow(2, parse_poly("i")),
+    GapSequence.explicit([3, 1, 4]),
+]
+
+
+@pytest.mark.parametrize("gaps", GAP_SEQUENCES, ids=repr)
+def test_decide_agrees_with_ancel_starbird(gaps):
+    expected = ancel_starbird(gaps)
+    v = decide(gaps)
+    assert v.outcome == expected.outcome
+    assert verify_certificate(v) is True
+    if gaps.kind == "periodic":
+        # the periodic product stays primary; the gap row corroborates last
+        assert v.criterion == "periodic_product"
+        assert v.corroborating[-1] == ("ancel_starbird", expected.outcome)
+    elif gaps.kind == "explicit":
+        assert v.criterion == "orbit_evidence"
+        assert v.declined[-1] == ("ancel_starbird", "gap tail is undeclared")
+    else:
+        assert (v.criterion, v.certificate) == ("ancel_starbird", expected.certificate)
 
 
 def _count_calls(monkeypatch, name) -> list:
