@@ -8,6 +8,8 @@ replicating functions, evaluates those functions exactly for (n,m) chain
 links, and decides shrinkability with machine-checkable certificates.
 """
 
+import types
+
 from .freegroup import (
     GroupRingElement,
     Word,
@@ -65,56 +67,9 @@ from .shrink import (
 
 __version__ = "0.1.0"
 
+# the public names are exactly the names imported above
 __all__ = [
-    "GroupRingElement",
-    "Word",
-    "commutator",
-    "format_word",
-    "fox_derivative",
-    "parse_word",
-    "MagnusSeries",
-    "expand",
-    "format_series",
-    "lcs_depth",
-    "CoverDerivation",
-    "LinkPresentation",
-    "NMLinkSpec",
-    "PDCode",
-    "builtin",
-    "first_homology",
-    "format_pd",
-    "longitudes",
-    "parse_pd",
-    "pd_fixture",
-    "wirtinger",
-    "MilnorRecord",
-    "delta",
-    "mu",
-    "mubar",
-    "reduce_longitude",
-    "ExactChainFn",
-    "MilnorLowerFn",
-    "compose",
-    "lower_milnor_drf",
-    "nm_drf",
-    "nm_lower_drf",
-    "EventuallyPeriodicSequence",
-    "ExplicitSequence",
-    "GapSequence",
-    "GeneratorSequence",
-    "LinkSequence",
-    "PeriodicSequence",
-    "parse_poly",
-    "parse_sequence_config",
-    "DOES_NOT_SHRINK",
-    "SHRINKS",
-    "UNKNOWN",
-    "ShrinkVerdict",
-    "ancel_starbird",
-    "decide",
-    "orbit_decide",
-    "periodic_product",
-    "sher_armentrout",
-    "verify_certificate",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + ["__version__"]

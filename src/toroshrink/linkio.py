@@ -353,18 +353,16 @@ class WirtingerPresentation:
     Relators are stored as (in_arc, over_arc, sign, out_arc) meaning
     out = over^-sign * in * over^sign.  under_passes lists, per component
     and in traversal order from the base arc, the (over_arc, sign) pairs
-    met while passing under crossings; together with the self-writhe this
-    determines the zero-framed longitudes.
+    met while passing under crossings; these determine the zero-framed
+    longitudes.  A component's base arc is the first of its arc_sequence.
     """
 
     n_arcs: int
     arc_component: tuple[int, ...]
     component_labels: tuple[int, ...]
     relators: tuple[tuple[int, int, int, int], ...]
-    base_arc: Mapping[int, int]
     under_passes: Mapping[int, tuple[tuple[int, int], ...]]
     arc_sequence: Mapping[int, tuple[int, ...]]
-    self_writhe: Mapping[int, int]
 
     @property
     def n_relators(self) -> int:
@@ -388,51 +386,38 @@ def wirtinger(pd: PDCode) -> WirtingerPresentation:
     for idx, (a, b, c, d) in enumerate(pd.crossings):
         relators.append((arc_of[a], arc_of[b], pd.sign(idx), arc_of[c]))
 
-    base_arc: dict[int, int] = {}
     under_passes: dict[int, tuple[tuple[int, int], ...]] = {}
     arc_sequence: dict[int, tuple[int, ...]] = {}
-    self_writhe: dict[int, int] = {}
     next_arc_id = n_arcs
     for label, es in pd.components:
         if not es:
             # crossingless component: fresh arc with no relators
-            base_arc[label] = next_arc_id
             arc_component.append(label)
             under_passes[label] = ()
             arc_sequence[label] = (next_arc_id,)
-            self_writhe[label] = 0
             next_arc_id += 1
             continue
-        base_arc[label] = arc_of[es[0]]
         passes = []
         seq = [arc_of[es[0]]]
-        w = 0
         for i, e in enumerate(es):
             idx = under_in_at.get(e)
             if idx is None:
                 continue
             a, b, c, d = pd.crossings[idx]
-            s = pd.sign(idx)
-            over_arc = arc_of[b]
-            passes.append((over_arc, s))
+            passes.append((arc_of[b], pd.sign(idx)))
             seq.append(arc_of[es[(i + 1) % len(es)]])
-            if pd.component_of(b) == label:
-                w += s
         if len(seq) > 1 and seq[-1] != seq[0]:
             raise PDError(f"component {label} arc traversal does not close up")
         under_passes[label] = tuple(passes)
         arc_sequence[label] = tuple(seq[:-1]) if len(seq) > 1 else tuple(seq)
-        self_writhe[label] = w
 
     return WirtingerPresentation(
         n_arcs=next_arc_id,
         arc_component=tuple(arc_component),
         component_labels=pd.component_labels,
         relators=tuple(relators),
-        base_arc=base_arc,
         under_passes=under_passes,
         arc_sequence=arc_sequence,
-        self_writhe=self_writhe,
     )
 
 
@@ -440,14 +425,16 @@ def longitudes(pd: PDCode) -> dict[int, Word]:
     """Zero-framed longitudes as words in the arc generators.
 
     The word multiplies the over-arcs met while traversing the component,
-    then a base-arc power cancelling the self-writhe.
+    then a base-arc power cancelling the self-writhe: the signs of the
+    passes under the component's own arcs.
     """
     wp = wirtinger(pd)
     out = {}
     for label in wp.component_labels:
-        w = wp.self_writhe[label]
-        correction = [(wp.base_arc[label], -1 if w > 0 else 1)] * abs(w)
-        out[label] = Word(wp.n_arcs, list(wp.under_passes[label]) + correction)
+        passes = wp.under_passes[label]
+        w = sum(s for over_arc, s in passes if wp.arc_component[over_arc] == label)
+        correction = [(wp.arc_sequence[label][0], -1 if w > 0 else 1)] * abs(w)
+        out[label] = Word(wp.n_arcs, list(passes) + correction)
     return out
 
 
@@ -785,10 +772,8 @@ def builtin(name: str) -> LinkData:
     msp = _NM_SPEC.match(key)
     if msp:
         return nm_presentation(NMLinkSpec(int(msp.group(1)), int(msp.group(2))))
-    if key == "hopf":
-        return parse_pd(HOPF_PD)
-    if key == "whitehead":
-        return parse_pd(WHITEHEAD_PD)
+    if key in ("hopf", "whitehead"):
+        return pd_fixture(key)
     if key == "borromean":
         return borromean_presentation()
     if key == "bing":

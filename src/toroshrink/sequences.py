@@ -686,10 +686,8 @@ class GapSequence(LinkSequence):
     def one_period(self) -> Period | None:
         if self.kind != "periodic":
             return None
-        pairs: list[tuple[int, int]] = []
-        for c in self.values:
-            pairs += [(2, 2)] * c + [(1, 2)]
-        return Period((), tuple(pairs))
+        # one cycle of gaps: sum(values) (2,1) links and len(values) (1,1)
+        return Period((), tuple(self.link_pairs(1, sum(self.values) + len(self.values))))
 
 
 # -- config parsing ------------------------------------------------------------

@@ -165,6 +165,7 @@ def sher_armentrout(seq: LinkSequence) -> ShrinkVerdict | str:
 
 _EXPANSION_CONSEQUENCE = "every stage satisfies D(k) >= k for k >= 1"
 _NO_CLOSED_FORM = "neither periodic nor a generator"
+_UNDECLARED_GAP_TAIL = "gap tail is undeclared"
 
 
 def _expansion_margin(b: Branch) -> IntPoly:
@@ -382,7 +383,7 @@ def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
             "partial_sum": str(_gap_partial_sum(gaps, len(gaps.values))),
             "known_gaps": list(gaps.values),
         }
-        evidence = {"reason": "gap tail is undeclared"}
+        evidence = {"reason": _UNDECLARED_GAP_TAIL}
         return ShrinkVerdict(UNKNOWN, "ancel_starbird", cert, gaps, evidence=evidence)
     if gaps.kind == "periodic":
         cross = periodic_product(gaps)
@@ -797,7 +798,7 @@ def decide(
         ("divergent_weighted_tau_series", divergent),
         ("orbit_proof", _orbit_proof(seq)),
         ("ancel_starbird", "not a gap sequence" if not isinstance(seq, GapSequence)
-         else "gap tail is undeclared" if seq.kind == "explicit" else ancel_starbird(seq)),
+         else _UNDECLARED_GAP_TAIL if seq.kind == "explicit" else ancel_starbird(seq)),
     ]
     return _conclude(seq, rows, k_max, m_max, p_max)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from toroshrink.drf import NMLinkSpec
-from toroshrink.freegroup import commutator, parse_word
+from toroshrink.freegroup import commutator, format_word, parse_word
 from toroshrink.linkio import (
     BORROMEAN_PD,
     HOPF_PD,
@@ -116,6 +116,22 @@ def test_longitude_zero_framing_all_fixtures():
         for label, w in longitudes(pd).items():
             own = sum(s for g, s in w.letters if wp.arc_component[g] == label)
             assert own == 0
+
+
+@pytest.mark.parametrize(
+    "pd, words",
+    [
+        (HOPF_PD, {1: "x1", 2: "x0"}),
+        (WHITEHEAD_PD, {0: "x4^-1 x3", 1: "x1 x2 x0^-1 x2^-1"}),
+        (BORROMEAN_PD, {1: "x5^-1 x4", 2: "x0^-1 x1", 3: "x3 x2^-1"}),
+        # trefoil, self-writhe +3, and its mirror, self-writhe -3
+        ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]", {1: "x2 x0 x1 x0^-3"}),
+        ("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]", {1: "x2^-1 x0^-1 x1^-1 x0^3"}),
+    ],
+)
+def test_longitude_words_pinned(pd, words):
+    # the writhe correction sits on the component's own base arc
+    assert {label: format_word(w) for label, w in longitudes(parse_pd(pd)).items()} == words
 
 
 def test_inferred_components_when_unannotated():
