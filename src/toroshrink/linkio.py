@@ -438,72 +438,17 @@ def longitudes(pd: PDCode) -> dict[int, Word]:
     return out
 
 
-# -- abelianization oracle -------------------------------------------------
-
-
-def _integer_snf_diagonal(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of a small integer matrix."""
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    diag = []
-    r = c = 0
-    while r < n_rows and c < n_cols:
-        # find a pivot of least absolute value
-        pivot = None
-        for i in range(r, n_rows):
-            for j in range(c, n_cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[r], m[i0] = m[i0], m[r]
-        for row in m:
-            row[c], row[j0] = row[j0], row[c]
-        again = True
-        while again:
-            again = False
-            for i in range(r + 1, n_rows):
-                q = m[i][c] // m[r][c]
-                if q:
-                    for j in range(c, n_cols):
-                        m[i][j] -= q * m[r][j]
-                if m[i][c]:
-                    m[r], m[i] = m[i], m[r]
-                    again = True
-            for j in range(c + 1, n_cols):
-                q = m[r][j] // m[r][c]
-                if q:
-                    for i in range(r, n_rows):
-                        m[i][j] -= q * m[i][c]
-                if m[r][j]:
-                    for i in range(r, n_rows):
-                        m[i][c], m[i][j] = m[i][j], m[i][c]
-                    again = True
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    return diag
+# -- first homology -------------------------------------------------------
 
 
 def first_homology(pd: PDCode) -> tuple[int, list[int]]:
     """(betti number, torsion coefficients) of the abelianized Wirtinger
-    presentation.  For a genuine link diagram this is (n_components, [])."""
+    presentation.  Each relator abelianizes to out_arc - in_arc, a row of
+    a graph incidence matrix: its invariant factors are 0 or 1, so there
+    is no torsion, and the betti number is the number of classes of arcs
+    that the relators join.  For a link diagram this is (n_components, [])."""
     wp = wirtinger(pd)
-    rows = []
-    for in_arc, over_arc, sign, out_arc in wp.relators:
-        row = [0] * wp.n_arcs
-        row[out_arc] += 1
-        row[in_arc] -= 1
-        if any(row):
-            rows.append(row)
-    if not rows:
-        return wp.n_arcs, []
-    diag = _integer_snf_diagonal(rows)
-    torsion = [d for d in diag if d not in (0, 1)]
-    rank = sum(1 for d in diag if d != 0)
-    return wp.n_arcs - rank, torsion
+    return len(_edge_classes(range(wp.n_arcs), [(i, o) for i, _, _, o in wp.relators])), []
 
 
 # -- presentations and builtin families -------------------------------------

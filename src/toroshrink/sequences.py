@@ -526,7 +526,10 @@ class GeneratorSequence(LinkSequence):
     odd_m: IntPoly | None = None
 
     def __post_init__(self):
-        if self.n_poly is None and None in (self.even_n, self.even_m, self.odd_n, self.odd_m):
+        cases = (self.even_n, self.even_m, self.odd_n, self.odd_m)
+        if (self.n_poly, self.m_poly) != (None, None) and cases != (None,) * 4:
+            raise SequenceError("generator mixes one-case and two-case terms")
+        if self.n_poly is None and None in cases:
             raise SequenceError("two-case generator needs all four terms")
         if self.n_poly is not None and self.m_poly is None:
             raise SequenceError("generator needs both n and m terms")
@@ -737,8 +740,17 @@ def _poly(config: dict, key: str, where: str) -> IntPoly:
     return parse_poly(str(_field(config, key, where, (str, int))))
 
 
+def _reads(config: dict, where: str, *keys: str) -> dict:
+    """config, or a SequenceError naming its first key outside `keys`."""
+    for key in config:
+        if key not in keys:
+            raise SequenceError(f"{where} has the unknown key {key!r}")
+    return config
+
+
 def parse_sequence_config(config) -> LinkSequence:
-    """Build a LinkSequence from a JSON string or a parsed config dict."""
+    """Build a LinkSequence from a JSON string or a parsed config dict;
+    a key that the variant does not read is an error."""
     if isinstance(config, str):
         config = json.loads(config)
     if not isinstance(config, dict) or "variant" not in config:
@@ -746,24 +758,31 @@ def parse_sequence_config(config) -> LinkSequence:
     variant = config["variant"]
     where = f"{variant!r} sequence config"
     if variant == "periodic":
+        _reads(config, where, "variant", "links")
         return PeriodicSequence(_links(config, "links", where))
     if variant == "eventually_periodic":
+        _reads(config, where, "variant", "prefix", "period")
         return EventuallyPeriodicSequence(
             prefix=_links(config, "prefix", where) if "prefix" in config else (),
             tail=_links(config, "period", where),
         )
     if variant == "explicit":
+        _reads(config, where, "variant", "links")
         return ExplicitSequence(_links(config, "links", where))
     if variant == "generator":
         if "even" in config or "odd" in config:
-            even = _field(config, "even", where, dict)
-            odd = _field(config, "odd", where, dict)
+            _reads(config, where, "variant", "even", "odd")
+            even, odd = (
+                _reads(_field(config, case, where, dict), f"{case!r} case", "n", "m")
+                for case in ("even", "odd")
+            )
             return GeneratorSequence(
                 even_n=_poly(even, "n", "'even' case"),
                 even_m=_poly(even, "m", "'even' case"),
                 odd_n=_poly(odd, "n", "'odd' case"),
                 odd_m=_poly(odd, "m", "'odd' case"),
             )
+        _reads(config, where, "variant", "n", "m")
         return GeneratorSequence(
             n_poly=_poly(config, "n", where), m_poly=_poly(config, "m", where)
         )

@@ -165,7 +165,6 @@ def sher_armentrout(seq: LinkSequence) -> ShrinkVerdict | str:
 
 _EXPANSION_CONSEQUENCE = "every stage satisfies D(k) >= k for k >= 1"
 _NO_CLOSED_FORM = "neither periodic nor a generator"
-_UNDECLARED_GAP_TAIL = "gap tail is undeclared"
 
 
 def _expansion_margin(b: Branch) -> IntPoly:
@@ -367,61 +366,58 @@ def _sup_widths(seq: LinkSequence) -> Optional[int]:
 # -- mixed Bing-Whitehead sequences -----------------------------------------------------
 
 
-def ancel_starbird(gaps: GapSequence) -> ShrinkVerdict:
+def ancel_starbird(seq: LinkSequence) -> ShrinkVerdict | str:
     """Verdict for a mixed (2,1)/(1,1) sequence given the gap counts c_i:
     shrinks iff sum c_i / 2^i diverges.
 
-    The verdict's sequence is `gaps` itself.  Periodic gap patterns
+    The verdict's sequence is `seq` itself.  Periodic gap patterns
     converge (geometric bound), cross-checked by the periodic product
-    criterion on `gaps`; polynomial gaps converge by an exact ratio test;
-    gaps with a 2^i leading term diverge by a term bound.
+    criterion on `seq`; polynomial gaps converge by an exact ratio test;
+    gaps with a 2^i leading term diverge by a term bound.  Explicit gaps,
+    a finite list that decides nothing about the sum, and sequences that
+    are not a `GapSequence` get the reason the criterion declines.
     """
-    if gaps.kind == "explicit":
-        cert = {
-            "kind": "ancel_starbird",
-            "method": "undetermined",
-            "partial_sum": str(_gap_partial_sum(gaps, len(gaps.values))),
-            "known_gaps": list(gaps.values),
-        }
-        evidence = {"reason": _UNDECLARED_GAP_TAIL}
-        return ShrinkVerdict(UNKNOWN, "ancel_starbird", cert, gaps, evidence=evidence)
-    if gaps.kind == "periodic":
-        cross = periodic_product(gaps)
+    if not isinstance(seq, GapSequence):
+        return "not a gap sequence"
+    if seq.kind == "explicit":
+        return "gap tail is undeclared"
+    if seq.kind == "periodic":
+        cross = periodic_product(seq)
         cert = {
             "kind": "ancel_starbird",
             "method": "periodic_geometric",
-            "gap_period": list(gaps.values),
-            "exact_sum": str(_periodic_gap_sum(gaps)),
+            "gap_period": list(seq.values),
+            "exact_sum": str(_periodic_gap_sum(seq)),
             "cross_check": cross.certificate,
         }
-        verdict = ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
+        verdict = ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
         return _corroborated(verdict, [cross])
-    if gaps.kind == "poly":
-        if gaps.poly.is_zero():
+    if seq.kind == "poly":
+        if seq.poly.is_zero():
             cert = {"kind": "ancel_starbird", "method": "zero_gaps", "exact_sum": "0"}
-            return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
+            return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
         r = Fraction(3, 4)
-        i0 = _ratio_test_start(gaps.poly, r)
+        i0 = _ratio_test_start(seq.poly, r)
         cert = {
             "kind": "ancel_starbird",
             "method": "ratio_test",
-            "gap_term": _gap_term(gaps),
+            "gap_term": _gap_term(seq),
             "r": str(r),
             "i0": i0,
-            "bound": str(_ratio_test_bound(gaps, r, i0)),
+            "bound": str(_ratio_test_bound(seq, r, i0)),
         }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
+        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
     # two_pow: terms are bounded below by the leading coefficient
     cert = {
         "kind": "ancel_starbird",
         "method": "term_bound",
-        "delta": str(gaps.two_pow_coeff),
+        "delta": str(seq.two_pow_coeff),
         "i0": 1,
-        "two_pow_coeff": gaps.two_pow_coeff,
-        "extra_term": gaps.poly.text("i"),
-        "gap_term": _gap_term(gaps),
+        "two_pow_coeff": seq.two_pow_coeff,
+        "extra_term": seq.poly.text("i"),
+        "gap_term": _gap_term(seq),
     }
-    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, gaps)
+    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, seq)
 
 
 def _gap_term(gaps: GapSequence) -> str:
@@ -654,18 +650,12 @@ def _offset_sum(period: Period) -> Fraction:
     return period.slope * sum(period.block_partials, Fraction(0))
 
 
-def _spec_check_bound(period: Period) -> int:
-    """Finite verification range for the one-period composite."""
-    a = period.slope
-    bound = (a.numerator + a.denominator) * len(period.pairs)
-    return max(1, min(bound, 100_000))
-
-
 def _decide_periodic_orbits(seq, period: Period) -> ShrinkVerdict:
     a = period.slope
     if a <= 1:
         # the default horizon, not the caller's: horizons shape only Unknown evidence
-        k_star = min(max(_spec_check_bound(period), DEFAULT_K_MAX), _DESCENT_CHECK_MAX)
+        bound = (a.numerator + a.denominator) * len(period.pairs)
+        k_star = min(max(bound, DEFAULT_K_MAX), _DESCENT_CHECK_MAX)
         k = period.ascent(k_star)
         if k is not None:
             raise VerdictConsistencyError(
@@ -797,8 +787,7 @@ def decide(
         ("convergent_tau_series", convergent),
         ("divergent_weighted_tau_series", divergent),
         ("orbit_proof", _orbit_proof(seq)),
-        ("ancel_starbird", "not a gap sequence" if not isinstance(seq, GapSequence)
-         else _UNDECLARED_GAP_TAIL if seq.kind == "explicit" else ancel_starbird(seq)),
+        ("ancel_starbird", ancel_starbird(seq)),
     ]
     return _conclude(seq, rows, k_max, m_max, p_max)
 
@@ -958,16 +947,9 @@ def _verify(verdict: ShrinkVerdict) -> bool:
 def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
     """Re-check a gap certificate against the gaps of `verdict.sequence`."""
     cert, gaps = verdict.certificate, verdict.sequence
-    if not isinstance(gaps, GapSequence):
+    if not isinstance(gaps, GapSequence) or gaps.kind == "explicit":
         return False
     method = cert["method"]
-    if gaps.kind == "explicit":
-        return (
-            method == "undetermined"
-            and cert["known_gaps"] == list(gaps.values)
-            and cert["partial_sum"] == str(_gap_partial_sum(gaps, len(gaps.values)))
-            and verdict.outcome == UNKNOWN
-        )
     if gaps.kind == "periodic":
         cross = cert["cross_check"]
         return (

@@ -379,6 +379,25 @@ def test_shrink_decide_mistyped_field_exits_three(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"variant": "periodic", "links": ["bing"], "prefix": ["whitehead"]}, "prefix"),
+        ({"variant": "generator", "n": "2", "m": "1", "even": {"n": "2"}, "odd": {}}, "n"),
+        ({"variant": "generator", "even": {"n": "2", "m": "1"}, "odd": {"n": "2", "x": 0}}, "x"),
+    ],
+    ids=["periodic-prefix", "generator-n-with-cases", "odd-case-x"],
+)
+def test_shrink_decide_unknown_key_exits_three(tmp_path, capsys, cfg, key):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run(capsys, "shrink", "decide", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert f"has the unknown key {key!r}" in err
+    assert "Traceback" not in err
+
+
 def test_shrink_decide_term_of_huge_degree_exits_three(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(

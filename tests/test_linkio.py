@@ -91,8 +91,9 @@ def test_wirtinger_borromean_shape():
 
 
 def test_homology_of_builtin_diagrams():
-    for name in ("hopf", "whitehead", "borromean"):
-        pd = pd_fixture(name)
+    crossingless = "X[1,3,2,4] X[3,1,4,2]\n% component 1: 1,2\n% component 2: 3,4\n% component 3: -"
+    diagrams = [pd_fixture(name) for name in ("hopf", "whitehead", "borromean")]
+    for pd in diagrams + [parse_pd(crossingless), bing_axis_pd()]:
         assert first_homology(pd) == (pd.n_components, [])
 
 

@@ -420,6 +420,36 @@ def test_parse_sequence_config_names_missing_key(cfg, key):
         parse_sequence_config(cfg)
 
 
+_CASES = {"even": {"n": "2", "m": "1"}, "odd": {"n": "2", "m": "1"}}
+
+
+# each config holds one key that its variant, or the named case, does not read
+@pytest.mark.parametrize(
+    "cfg, case, key",
+    [
+        ({"variant": "periodic", "links": ["bing"], "prefix": ["whitehead"]}, None, "prefix"),
+        ({"variant": "explicit", "links": [], "period": []}, None, "period"),
+        ({"variant": "eventually_periodic", "period": [], "links": []}, None, "links"),
+        ({"variant": "generator", "n": "2", "m": "1", **_CASES}, None, "n"),
+        ({"variant": "generator", "n": "2", "m": "1", "s": "1"}, None, "s"),
+        ({"variant": "generator", **_CASES, "even": {"n": "2", "i": 1}}, "even", "i"),
+        ({"variant": "generator", **_CASES, "odd": {"n": "2", "m": "1", "k": 3}}, "odd", "k"),
+    ],
+)
+def test_parse_sequence_config_names_unknown_key(cfg, case, key):
+    where = f"{case!r} case" if case else f"{cfg['variant']!r} sequence config"
+    with pytest.raises(SequenceError, match=f"^{where} has the unknown key {key!r}$"):
+        parse_sequence_config(cfg)
+
+
+@pytest.mark.parametrize("one_case", [{"n_poly": "2", "m_poly": "1"}, {"m_poly": "1"}])
+def test_generator_rejects_mixed_one_and_two_case_terms(one_case):
+    two_case = {"even_n": "2", "even_m": "1", "odd_n": "2", "odd_m": "1"}
+    terms = {name: parse_poly(text) for name, text in {**one_case, **two_case}.items()}
+    with pytest.raises(SequenceError, match="mixes one-case and two-case terms"):
+        GeneratorSequence(**terms)
+
+
 def test_gap_sequence_periodic():
     gaps = GapSequence.periodic([1, 2])
     assert [gaps.gap(i) for i in range(1, 5)] == [1, 2, 1, 2]

@@ -353,9 +353,15 @@ def test_ancel_starbird_zero_gaps():
     assert v.outcome == DOES_NOT_SHRINK
 
 
-def test_ancel_starbird_explicit_tail_unknown():
-    v = ancel_starbird(GapSequence.explicit([3, 1, 4]))
-    assert v.outcome == UNKNOWN
+def test_ancel_starbird_declines_with_its_reason():
+    # a finite gap list decides nothing about sum c_i / 2^i
+    assert ancel_starbird(GapSequence.explicit([3, 1, 4])) == "gap tail is undeclared"
+    for seq in (
+        PeriodicSequence(((2, 1),)),
+        GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1")),
+        ExplicitSequence(((3, 1), (1, 1))),
+    ):
+        assert ancel_starbird(seq) == "not a gap sequence"
 
 
 def test_ancel_starbird_periodic_agrees_with_periodic_product():
@@ -1060,7 +1066,6 @@ GAP_METHODS = {
     "ratio_test": (GapSequence.from_poly("i^2+1"), GapSequence.from_poly("i^2+2")),
     "term_bound": (GapSequence.two_pow(2, parse_poly("i")), GapSequence.two_pow(2)),
     "zero_gaps": (GapSequence.from_poly("0"), GapSequence.from_poly("1")),
-    "undetermined": (GapSequence.explicit([3, 1, 4]), GapSequence.explicit([3, 1, 5])),
 }
 
 
@@ -1080,9 +1085,10 @@ def test_ancel_starbird_verdict_carries_its_gaps(method):
         PURE_BING,
         GeneratorSequence(n_poly=parse_poly("2"), m_poly=parse_poly("1")),
         PURE_WHITEHEAD,
+        GapSequence.explicit([3, 1, 4]),
         "same_kind",
     ],
-    ids=["bing", "generator_2_1", "whitehead", "same_kind"],
+    ids=["bing", "generator_2_1", "whitehead", "explicit_gaps", "same_kind"],
 )
 def test_verify_rejects_gap_certificate_on_another_sequence(method, other):
     gaps, same_kind = GAP_METHODS[method]
@@ -1095,8 +1101,6 @@ def test_verify_rejects_gap_certificate_on_another_sequence(method, other):
     "method, field, value",
     [
         ("periodic_geometric", "gap_period", [2, 1, 0]),
-        ("undetermined", "known_gaps", [3, 1]),
-        ("undetermined", "partial_sum", "0"),
         ("ratio_test", "gap_term", "i^2 + 2"),
         ("ratio_test", "r", "2"),
         ("ratio_test", "r", "1"),
@@ -1250,7 +1254,6 @@ CERTIFICATE_CASES = {
     "ancel_starbird_ratio_test": lambda: ancel_starbird(GapSequence.from_poly("i^2+1")),
     "ancel_starbird_term_bound": lambda: ancel_starbird(GapSequence.two_pow(2, parse_poly("i"))),
     "ancel_starbird_zero_gaps": lambda: ancel_starbird(GapSequence.from_poly("0")),
-    "ancel_starbird_undetermined": lambda: ancel_starbird(GapSequence.explicit([3, 1, 4])),
 }
 
 
@@ -1373,17 +1376,19 @@ GAP_SEQUENCES = [
 def test_decide_agrees_with_ancel_starbird(gaps):
     expected = ancel_starbird(gaps)
     v = decide(gaps)
-    assert v.outcome == expected.outcome
     assert verify_certificate(v) is True
-    if gaps.kind == "periodic":
+    if gaps.kind == "explicit":
+        # the gap row declines with the reason ancel_starbird gives
+        assert (v.criterion, v.outcome) == ("orbit_evidence", UNKNOWN)
+        assert v.declined[-1] == ("ancel_starbird", expected)
+    elif gaps.kind == "periodic":
         # the periodic product stays primary; the gap row corroborates last
-        assert v.criterion == "periodic_product"
+        assert (v.criterion, v.outcome) == ("periodic_product", expected.outcome)
         assert v.corroborating[-1] == ("ancel_starbird", expected.outcome)
-    elif gaps.kind == "explicit":
-        assert v.criterion == "orbit_evidence"
-        assert v.declined[-1] == ("ancel_starbird", "gap tail is undeclared")
     else:
-        assert (v.criterion, v.certificate) == ("ancel_starbird", expected.certificate)
+        assert (v.criterion, v.outcome, v.certificate) == (
+            "ancel_starbird", expected.outcome, expected.certificate
+        )
 
 
 def _count_calls(monkeypatch, name) -> list:
