@@ -20,6 +20,7 @@ from .linkio import (
     LinkPresentation,
     PDCode,
     builtin,
+    linking_matrix,
     parse_pd,
     wirtinger,
 )
@@ -66,6 +67,7 @@ def _load_link(args):
 
 
 def _link_payload(link) -> dict:
+    pairs = {f"{i},{j}": v for (i, j), v in linking_matrix(link).items()}
     if isinstance(link, PDCode):
         wp = wirtinger(link)
         return {
@@ -74,17 +76,10 @@ def _link_payload(link) -> dict:
             "crossings": link.n_crossings,
             "arcs": wp.n_arcs,
             "relators": wp.n_relators,
-            "linking_matrix": {
-                f"{i},{j}": v for (i, j), v in link.linking_matrix().items()
-            },
+            "linking_matrix": pairs,
         }
     assert isinstance(link, LinkPresentation)
     longs = {str(i): format_word(w) for i, w in sorted(link.longitude.items())}
-    pairs = {}
-    for i in link.labels:
-        for j in link.labels:
-            if i < j:
-                pairs[f"{i},{j}"] = link.linking_number(i, j)
     return {
         "carrier": "presentation",
         "components": list(link.labels),

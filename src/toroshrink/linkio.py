@@ -66,6 +66,7 @@ __all__ = [
     "LinkPresentation",
     "CoverDerivation",
     "LinkData",
+    "linking_matrix",
     "builtin",
     "pd_fixture",
     "bing_axis_pd",
@@ -275,15 +276,6 @@ class PDCode:
         if total % 2:
             raise PDError("odd signed crossing count between two components")
         return total // 2
-
-    def linking_matrix(self) -> dict[tuple[int, int], int]:
-        labels = self.component_labels
-        out = {}
-        for i in labels:
-            for j in labels:
-                if i < j:
-                    out[(i, j)] = self.linking_number(i, j)
-        return out
 
     # -- Wirtinger arcs -----------------------------------------------------
 
@@ -525,6 +517,12 @@ class LinkPresentation:
 
 
 LinkData = Union[PDCode, LinkPresentation]
+
+
+def linking_matrix(link: LinkData) -> dict[tuple[int, int], int]:
+    """lk(i, j) for each pair of component labels i < j."""
+    labels = link.component_labels
+    return {(i, j): link.linking_number(i, j) for i in labels for j in labels if i < j}
 
 
 @dataclass(frozen=True)

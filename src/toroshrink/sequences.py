@@ -712,7 +712,7 @@ def _parse_link_entry(entry) -> NMLinkSpec:
             return NMLinkSpec(int(m.group(1)), int(m.group(2)))
         raise SequenceError(f"unknown link entry {entry!r}")
     if isinstance(entry, dict) and "nm" in entry:
-        pair = entry["nm"]
+        pair = _reads(entry, f"link entry {entry!r}", "nm")["nm"]
         # JSON true and false are ints in Python, but not link sizes
         if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair):
             return NMLinkSpec(*pair)

@@ -138,6 +138,7 @@ DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
     "name",
     [
         "report --format json --deterministic",
+        "report --deterministic",
         "demos/disc_replicating_functions.py",
         "demos/milnor_invariants.py",
         "demos/shrinking_verdicts.py",
@@ -385,8 +386,9 @@ def test_shrink_decide_mistyped_field_exits_three(tmp_path, capsys, cfg, key):
         ({"variant": "periodic", "links": ["bing"], "prefix": ["whitehead"]}, "prefix"),
         ({"variant": "generator", "n": "2", "m": "1", "even": {"n": "2"}, "odd": {}}, "n"),
         ({"variant": "generator", "even": {"n": "2", "m": "1"}, "odd": {"n": "2", "x": 0}}, "x"),
+        ({"variant": "periodic", "links": [{"nm": [2, 1], "n": 7}]}, "n"),
     ],
-    ids=["periodic-prefix", "generator-n-with-cases", "odd-case-x"],
+    ids=["periodic-prefix", "generator-n-with-cases", "odd-case-x", "link-entry-n"],
 )
 def test_shrink_decide_unknown_key_exits_three(tmp_path, capsys, cfg, key):
     path = tmp_path / "seq.json"

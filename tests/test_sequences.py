@@ -434,11 +434,18 @@ _CASES = {"even": {"n": "2", "m": "1"}, "odd": {"n": "2", "m": "1"}}
         ({"variant": "generator", "n": "2", "m": "1", "s": "1"}, None, "s"),
         ({"variant": "generator", **_CASES, "even": {"n": "2", "i": 1}}, "even", "i"),
         ({"variant": "generator", **_CASES, "odd": {"n": "2", "m": "1", "k": 3}}, "odd", "k"),
+        ({"variant": "periodic", "links": [{"nm": [2, 1], "n": 7}]}, "link", "n"),
     ],
 )
 def test_parse_sequence_config_names_unknown_key(cfg, case, key):
-    where = f"{case!r} case" if case else f"{cfg['variant']!r} sequence config"
-    with pytest.raises(SequenceError, match=f"^{where} has the unknown key {key!r}$"):
+    if case is None:
+        where = f"{cfg['variant']!r} sequence config"
+    elif case == "link":
+        where = f"link entry {cfg['links'][0]!r}"
+    else:
+        where = f"{case!r} case"
+    message = re.escape(f"{where} has the unknown key {key!r}")
+    with pytest.raises(SequenceError, match=f"^{message}$"):
         parse_sequence_config(cfg)
 
 
