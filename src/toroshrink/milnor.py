@@ -16,12 +16,14 @@ certifies through the expansion of the defect word).
 The indeterminacy Delta_I is the GCD of all mu_J where J runs over the
 multi-indices obtained from I by deleting at least one entry and cyclically
 permuting the rest; Delta = 0 encodes an integer-valued invariant.  A
-subsequence of a rotation of I is a rotation of a subsequence of I, so for
-len(I) >= 3 Delta_I is the GCD of |mu_J| and Delta_J over the rotations J of
-the one-deletion subsequences of I, and Delta is 0 at length 2.  That
-recursion reads mu and Delta from bounded memos keyed by (link, index),
-which all calls share.  The residue mubar = mu mod Delta is normalized to
-[0, Delta).
+subsequence of a rotation of I is a rotation of a subsequence of I, so every
+rotation of I has the same sub-indices and Delta is a function of the cyclic
+class of I, named by its least rotation.  For len(I) >= 3 Delta_I is the GCD,
+over the one-deletion subsequences J of I, of G(class of J), where G(c) is the
+GCD of Delta(c) and of |mu| over every rotation of c (mu itself need not be
+cyclically symmetric); Delta is 0 at length 2.  mu is memoized by
+(link, index), Delta and G by (link, cyclic class), in bounded memos that all
+calls share.  The residue mubar = mu mod Delta is normalized to [0, Delta).
 
 The invariants certify lower disc replicating functions: a derivation
 (:class:`~toroshrink.linkio.CoverDerivation`) whose witness has length 2
@@ -70,8 +72,8 @@ __all__ = [
 
 MAX_INDEX_LENGTH = 8
 MONOMIAL_BUDGET = 2_000_000
-# entries kept by each of the mu and Delta memos; all indices of length <= 8
-# over three components number 9,837
+# entries kept by each memo: mu is keyed by index, Delta and G by cyclic
+# class; all indices of length <= 8 over three components number 9,837
 _MEMO_SIZE = 1 << 15
 
 
@@ -221,7 +223,7 @@ def delta(link: LinkData, index: tuple[int, ...]) -> int:
     """GCD indeterminacy Delta_I; 0 means integer valued."""
     index = tuple(index)
     _check_index(link.component_labels, index)
-    return _delta(link, index)
+    return _delta(link, _least_rotation(index))
 
 
 # every sub-index of a checked index is valid too: it is shorter, uses the
@@ -232,15 +234,25 @@ def _mu(link: LinkData, index: tuple[int, ...]) -> int:
     return word_coefficient(word, index[:-1])
 
 
+def _least_rotation(index: tuple[int, ...]) -> tuple[int, ...]:
+    return min(index[r:] + index[:r] for r in range(len(index)))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _delta(link: LinkData, index: tuple[int, ...]) -> int:
+def _delta(link: LinkData, cls: tuple[int, ...]) -> int:
     g = 0
-    if len(index) > 2:
-        for pos in range(len(index)):
-            sub = index[:pos] + index[pos + 1:]
-            for r in range(len(sub)):
-                rotation = sub[r:] + sub[:r]
-                g = gcd(g, abs(_mu(link, rotation)), _delta(link, rotation))
+    if len(cls) > 2:
+        for pos in range(len(cls)):
+            g = gcd(g, _class_gcd(link, _least_rotation(cls[:pos] + cls[pos + 1:])))
+    return g
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _class_gcd(link: LinkData, cls: tuple[int, ...]) -> int:
+    """G(cls): the GCD of Delta and of |mu| at every rotation of the class."""
+    g = _delta(link, cls)
+    for r in range(len(cls)):
+        g = gcd(g, abs(_mu(link, cls[r:] + cls[:r])))
     return g
 
 

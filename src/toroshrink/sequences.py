@@ -10,9 +10,12 @@ an even/odd split), and explicit finite data with an unknown tail.
 The polynomial grammar is deliberately small: integer constants, one
 variable, +, -, *, ^, degree at most 64 and constant powers below about
 2^4096.  Positivity of a polynomial from an index onward is decidable
-exactly: `IntPoly.sign_changes` lists every integer where the sign flips,
-by bisection between the sign changes of its forward difference, which
-keeps every certificate symbolic rather than numeric sampling.
+exactly: `IntPoly.first_negative` first shifts the polynomial to start at
+that index, and when no shifted coefficient is negative it is nonnegative
+from there on; otherwise `IntPoly.sign_changes` lists every integer where
+the sign flips, by bisection between the sign changes of its forward
+difference.  Either way every certificate stays symbolic rather than
+numeric sampling.
 """
 
 from __future__ import annotations
@@ -188,11 +191,19 @@ class IntPoly:
 
     def first_negative(self, i_min: int) -> int | None:
         """The first integer i >= i_min where p(i) < 0, exactly, or None when
-        p(i) >= 0 for every i >= i_min: that is i_min when p(i_min) < 0, and
-        otherwise the first of `sign_changes(i_min)`, where p turns negative.
+        p(i) >= 0 for every i >= i_min.
+
+        The Taylor shift q(t) = p(i_min + t) answers most calls: its constant
+        term is p(i_min), so i_min is the answer when that is negative, and
+        when no coefficient of q is negative, q(t) is a sum of nonnegative
+        terms for every t >= 0.  Otherwise the answer is the first of
+        `sign_changes(i_min)`, where p turns negative.
         """
-        if self(i_min) < 0:
+        shifted = self.shifted_arg(i_min).coeffs
+        if shifted and shifted[0] < 0:
             return i_min
+        if all(c >= 0 for c in shifted):
+            return None
         changes = self.sign_changes(i_min)
         return changes[0] if changes else None
 

@@ -95,31 +95,33 @@ def test_milnor_batch(capsys):
     assert out.count("mu(") == 9
 
 
-# sha256 of the deterministic JSON bytes of two --all-upto-length runs,
-# captured from the code that enumerated every sub-index of each index
-# literally; a faster Delta must reproduce them, so never regenerate them
-# to make this test pass
+# sha256 of the deterministic JSON bytes of --all-upto-length runs: the
+# length-6 ones captured from the code that enumerated every sub-index of
+# each index literally, the length-8 ones (the cap) from the recursion over
+# every rotation of every one-deletion; a faster Delta must reproduce them,
+# so never regenerate them to make this test pass
 MILNOR_DATA = os.path.join(os.path.dirname(__file__), "data", "milnor_bytes.json")
 
 
+@pytest.mark.parametrize("length", [6, 8])
 @pytest.mark.parametrize(
     "link_args",
     [("--pd", "bing_axis"), ("--builtin", "whitehead")],
     ids=["bing_axis", "whitehead"],
 )
-def test_milnor_all_upto_length_six_bytes_unchanged(tmp_path, capsys, link_args):
+def test_milnor_all_upto_length_bytes_unchanged(tmp_path, capsys, link_args, length):
     flag, name = link_args
     source = name
     if flag == "--pd":
         source = tmp_path / f"{name}.pd"
         source.write_text(format_pd(bing_axis_pd()), encoding="utf-8")
     code, out, _ = run(
-        capsys, "milnor", flag, str(source), "--all-upto-length", "6",
+        capsys, "milnor", flag, str(source), "--all-upto-length", str(length),
         "--format", "json", "--deterministic",
     )
     assert code == 0
     with open(MILNOR_DATA, encoding="utf-8") as fh:
-        expected = json.load(fh)[f"milnor {flag} {name} --all-upto-length 6"]
+        expected = json.load(fh)[f"milnor {flag} {name} --all-upto-length {length}"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

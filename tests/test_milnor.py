@@ -301,6 +301,35 @@ def test_delta_matches_literal_gcd_up_to_length_six(name):
         assert delta(link, index) == g, index
 
 
+def _delta_every_rotation(link, index, memo):
+    """Delta_I by the one-deletion recursion that reads mu and Delta at every
+    rotation of every one-deletion subsequence of I, with no cyclic classes."""
+    if index not in memo:
+        g = 0
+        if len(index) > 2:
+            for pos in range(len(index)):
+                sub = index[:pos] + index[pos + 1:]
+                for r in range(len(sub)):
+                    rotation = sub[r:] + sub[:r]
+                    g = gcd(g, abs(mu(link, rotation)), _delta_every_rotation(link, rotation, memo))
+        memo[index] = g
+    return memo[index]
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_ORACLE_LINKS))
+def test_delta_by_class_matches_the_every_rotation_recursion(name):
+    # Delta is memoized per cyclic class; the recursion over every rotation
+    # must agree on every index up to length 7, or one past a presentation's
+    # valid class; free_words, whose mu is not cyclically symmetric, fails
+    # if a class GCD reads mu at its least rotation alone
+    link = DELTA_ORACLE_LINKS[name]
+    valid_class = getattr(link, "valid_class", None)
+    top = 7 if valid_class is None else min(7, valid_class + 1)
+    memo = {}
+    for index in all_multi_indices(link.component_labels, top):
+        assert delta(link, index) == _delta_every_rotation(link, index, memo), index
+
+
 def _records(calls):
     return {(id(link), index): mubar(link, index) for link, index in calls}
 
@@ -316,14 +345,19 @@ def test_memo_gives_the_same_records_in_any_order():
         for link in links
         for index in all_multi_indices(link.component_labels, 5)
     ]
+    memos = [f for f in vars(milnor).values() if hasattr(f, "cache_clear")]
+    assert {milnor._mu, milnor._delta} <= set(memos)
+
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
+
     expected = {}
     for link in links:
-        milnor._mu.cache_clear()
-        milnor._delta.cache_clear()
+        clear()
         expected.update(_records([c for c in calls if c[0] is link]))
     shuffled = list(calls)
     random.Random(7).shuffle(shuffled)
-    milnor._mu.cache_clear()
-    milnor._delta.cache_clear()
+    clear()
     assert _records(shuffled) == expected
     assert any(rec.delta for rec in expected.values())

@@ -173,6 +173,20 @@ def test_first_negative_constant():
     assert IntPoly.const(-1).first_negative(5) == 5
 
 
+@pytest.mark.parametrize(
+    "text, i_min",
+    [("i^2 - 10*i + 25", 5), ("(i - 1000)^64 + 1", 1000), ("2*i - 4", 2), ("i^3 - i", 1)],
+)
+def test_first_negative_answers_a_nonnegative_shift_without_sign_changes(
+    monkeypatch, text, i_min
+):
+    # p(i_min + t) has no negative coefficient, so p >= 0 from i_min on
+    p = parse_poly(text)
+    assert all(c >= 0 for c in p.shifted_arg(i_min).coeffs)
+    monkeypatch.setattr(IntPoly, "sign_changes", None)
+    assert p.first_negative(i_min) is None
+
+
 def _flips(p: IntPoly, candidates, i_min: int) -> list[int]:
     """The candidates i > i_min where p(i) < 0 and p(i-1) < 0 differ."""
     return sorted(c for c in set(candidates) if c > i_min and (p(c) < 0) != (p(c - 1) < 0))
