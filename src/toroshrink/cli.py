@@ -3,7 +3,8 @@
 Subcommands: link info, milnor, drf eval, drf orbit, shrink decide,
 report.  `shrink decide` exits 0 for a shrinkable decomposition, 1 for a
 non-shrinkable one and 2 for unknown; usage, input and any other errors
-exit 3 with one line on stderr.
+exit 3 with one line on stderr.  Each command imports its own modules
+when it runs, so a command loads only the stack it uses.
 """
 
 from __future__ import annotations
@@ -14,27 +15,6 @@ import sys
 import time
 
 from . import __version__
-from .drf import compose, nm_drf
-from .freegroup import format_word
-from .linkio import (
-    LinkPresentation,
-    PDCode,
-    builtin,
-    linking_matrix,
-    parse_pd,
-    wirtinger,
-)
-from .magnus import expand, format_series
-from .milnor import MilnorError, all_multi_indices, longitude_word, mubar
-from .sequences import parse_sequence_config, sequence_to_config
-from .shrink import (
-    decide,
-    verify_certificate,
-    DEFAULT_K_MAX,
-    DEFAULT_M_MAX,
-    DEFAULT_P_MAX,
-)
-from .report import run_checks
 
 ERROR_EXIT = 3
 
@@ -56,6 +36,8 @@ def _emit(payload: dict, args, text_lines: list[str]) -> None:
 
 
 def _load_link(args):
+    from .linkio import builtin, parse_pd
+
     if args.pd:
         with open(args.pd, encoding="utf-8") as fh:
             return parse_pd(fh.read())
@@ -67,6 +49,9 @@ def _load_link(args):
 
 
 def _link_payload(link) -> dict:
+    from .freegroup import format_word
+    from .linkio import LinkPresentation, PDCode, linking_matrix, wirtinger
+
     pairs = {f"{i},{j}": v for (i, j), v in linking_matrix(link).items()}
     if isinstance(link, PDCode):
         wp = wirtinger(link)
@@ -110,6 +95,8 @@ def cmd_link(args) -> int:
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
+    from .milnor import MilnorError
+
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
@@ -117,6 +104,10 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def cmd_milnor(args) -> int:
+    from .freegroup import format_word
+    from .magnus import expand, format_series
+    from .milnor import MilnorError, all_multi_indices, longitude_word, mubar
+
     link = _load_link(args)
     records = []
     if args.index is not None:
@@ -126,19 +117,23 @@ def cmd_milnor(args) -> int:
     else:
         raise MilnorError("give --index or --all-upto-length")
     lines = []
+    texts = {}  # (component, q) -> the longitude's fields, formatted once
     for index in indices:
         rec = mubar(link, index)
-        word = longitude_word(link, index[-1], len(index))
+        key = (index[-1], len(index))
+        if key not in texts:
+            word = longitude_word(link, *key)
+            texts[key] = {"longitude": format_word(word)}
+            if args.dump_series:
+                texts[key]["series"] = format_series(expand(word, len(index)))
         entry = {
             "index": list(index),
             "mu": rec.mu,
             "delta": rec.delta,
             "mubar": rec.mubar,
             "signed": rec.signed,
-            "longitude": format_word(word),
+            **texts[key],
         }
-        if args.dump_series:
-            entry["series"] = format_series(expand(word, len(index)))
         records.append(entry)
         line = (
             f"mu{tuple(index)} = {rec.mu}  delta = {rec.delta}  "
@@ -152,6 +147,7 @@ def cmd_milnor(args) -> int:
 
 
 def cmd_drf_eval(args) -> int:
+    from .drf import nm_drf
     from .sequences import _parse_link_entry
 
     fn = nm_drf(_parse_link_entry(args.link))
@@ -165,6 +161,9 @@ def cmd_drf_eval(args) -> int:
 
 
 def cmd_drf_orbit(args) -> int:
+    from .drf import compose, nm_drf
+    from .sequences import parse_sequence_config
+
     with open(args.sequence, encoding="utf-8") as fh:
         seq = parse_sequence_config(fh.read())
     if args.steps < 0:
@@ -180,6 +179,8 @@ def cmd_drf_orbit(args) -> int:
 
 
 def _horizons(args) -> tuple[int, int, int]:
+    from .shrink import DEFAULT_K_MAX, DEFAULT_M_MAX, DEFAULT_P_MAX
+
     horizons = (DEFAULT_K_MAX, DEFAULT_M_MAX, DEFAULT_P_MAX)
     if not args.horizon:
         return horizons
@@ -192,6 +193,9 @@ def _horizons(args) -> tuple[int, int, int]:
 
 
 def cmd_shrink(args) -> int:
+    from .sequences import parse_sequence_config, sequence_to_config
+    from .shrink import decide, verify_certificate
+
     with open(args.config, encoding="utf-8") as fh:
         seq = parse_sequence_config(fh.read())
     k_max, m_max, p_max = _horizons(args)
@@ -227,6 +231,8 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import run_checks
+
     results = run_checks(only=args.only)
     payload = {
         "version": __version__,

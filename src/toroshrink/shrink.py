@@ -366,23 +366,26 @@ def _sup_widths(seq: LinkSequence) -> Optional[int]:
 # -- mixed Bing-Whitehead sequences -----------------------------------------------------
 
 
-def ancel_starbird(seq: LinkSequence) -> ShrinkVerdict | str:
+def ancel_starbird(
+    seq: LinkSequence, product: ShrinkVerdict | str | None = None
+) -> ShrinkVerdict | str:
     """Verdict for a mixed (2,1)/(1,1) sequence given the gap counts c_i:
     shrinks iff sum c_i / 2^i diverges.
 
     The verdict's sequence is `seq` itself.  Periodic gap patterns
     converge (geometric bound), cross-checked by the periodic product
-    criterion on `seq`; polynomial gaps converge by an exact ratio test;
-    gaps with a 2^i leading term diverge by a term bound.  Explicit gaps,
-    a finite list that decides nothing about the sum, and sequences that
-    are not a `GapSequence` get the reason the criterion declines.
+    criterion on `seq` (`product`, when the caller has already run it);
+    polynomial gaps converge by an exact ratio test; gaps with a 2^i
+    leading term diverge by a term bound.  Explicit gaps, a finite list
+    that decides nothing about the sum, and sequences that are not a
+    `GapSequence` get the reason the criterion declines.
     """
     if not isinstance(seq, GapSequence):
         return "not a gap sequence"
     if seq.kind == "explicit":
         return "gap tail is undeclared"
     if seq.kind == "periodic":
-        cross = periodic_product(seq)
+        cross = periodic_product(seq) if product is None else product
         cert = {
             "kind": "ancel_starbird",
             "method": "periodic_geometric",
@@ -778,16 +781,17 @@ def decide(
     included, enforce agreement, and return the first verdict in the order
     below, corroborated by the others (Unknown with orbit evidence when
     every criterion declines, each with its reason)."""
+    product = periodic_product(seq)
     convergent = convergent_tau_series(seq)
     divergent = divergent_weighted_tau_series(seq)
     rows = [
-        ("periodic_product", periodic_product(seq)),
+        ("periodic_product", product),
         ("sher_armentrout", sher_armentrout(seq)),
         ("bounded_widths", _bounded_widths(seq, convergent, divergent)),
         ("convergent_tau_series", convergent),
         ("divergent_weighted_tau_series", divergent),
         ("orbit_proof", _orbit_proof(seq)),
-        ("ancel_starbird", ancel_starbird(seq)),
+        ("ancel_starbird", ancel_starbird(seq, product)),
     ]
     return _conclude(seq, rows, k_max, m_max, p_max)
 

@@ -95,6 +95,26 @@ def test_milnor_batch(capsys):
     assert out.count("mu(") == 9
 
 
+def test_milnor_formats_each_longitude_once(capsys, monkeypatch):
+    from toroshrink import freegroup
+
+    original = freegroup.format_word
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(freegroup, "format_word", counting)
+    code, out, _ = run(
+        capsys, "milnor", "--builtin", "borromean", "--all-upto-length", "3"
+    )
+    assert code == 0
+    assert out.count("mu(") == 36
+    # one word per (component, q): 3 components, q = 2 and 3
+    assert len(calls) == 6
+
+
 # sha256 of the deterministic JSON bytes of --all-upto-length runs: the
 # length-6 ones captured from the code that enumerated every sub-index of
 # each index literally, the length-8 ones (the cap) from the recursion over
@@ -515,6 +535,6 @@ def test_interrupt_is_not_turned_into_an_exit_code(monkeypatch):
     def interrupted(only=None):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("toroshrink.cli.run_checks", interrupted)
+    monkeypatch.setattr("toroshrink.report.run_checks", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["report"])

@@ -1,10 +1,13 @@
 """Every name a module exports resolves, so a stale ``__all__`` entry fails,
-and the modules import one another only down their layers."""
+the modules import one another only down their layers, and a fresh
+interpreter loads only the stack that it uses."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +61,73 @@ def _package_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_imports_run_one_way_between_the_stacks(module):
     assert _package_imports(module) <= LAYERS[module]
+
+
+def _stack(module: str) -> list[str]:
+    """`module` and every package module it reaches through LAYERS."""
+    found, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo.extend(LAYERS.get(name, ()))
+    return sorted(f"toroshrink.{name}" for name in found)
+
+
+def _loaded_after(script: str) -> list[str]:
+    """The package modules loaded once `script` has run in a fresh interpreter."""
+    script += "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('toroshrink.')))"
+    src = os.path.dirname(os.path.dirname(toroshrink.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_after("import toroshrink") == []
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    _loaded_after(
+        "import toroshrink\n"
+        "missing = [n for n in toroshrink.__all__ if not hasattr(toroshrink, n)]\n"
+        "assert missing == [], missing"
+    )
+
+
+# a name of any module of a stack loads that whole stack, and only it
+@pytest.mark.parametrize(
+    "name, stack",
+    [
+        ("Word", "milnor"),
+        ("parse_pd", "milnor"),
+        ("linkio", "milnor"),
+        ("parse_sequence_config", "shrink"),
+        ("decide", "shrink"),
+        ("nm_drf", "drf"),
+    ],
+)
+def test_a_first_lookup_loads_its_whole_stack(name, stack):
+    assert _loaded_after(f"import toroshrink\ntoroshrink.{name}") == _stack(stack)
+
+
+NEAR_MISS = os.path.join(os.path.dirname(__file__), "data", "decide_near_miss.json")
+
+
+@pytest.mark.parametrize(
+    "argv, stack",
+    [
+        (["shrink", "decide", "--config", NEAR_MISS], "shrink"),
+        (["milnor", "--builtin", "borromean", "--all-upto-length", "3"], "milnor"),
+    ],
+    ids=["shrink-decide", "milnor"],
+)
+def test_a_command_loads_only_its_own_stack(argv, stack):
+    loaded = _loaded_after(f"from toroshrink.cli import main\nmain({argv!r})")
+    assert loaded == sorted(["toroshrink.cli", *_stack(stack)])

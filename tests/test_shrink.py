@@ -1413,7 +1413,11 @@ def test_decide_runs_the_automatic_convergence_check_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("seq", [PURE_BING, PURE_WHITEHEAD], ids=["bing", "whitehead"])
+@pytest.mark.parametrize(
+    "seq",
+    [PURE_BING, PURE_WHITEHEAD, GapSequence.periodic([2, 0, 1])],
+    ids=["bing", "whitehead", "periodic-gaps"],
+)
 def test_decide_runs_the_periodic_product_once(monkeypatch, seq):
     calls = _count_calls(monkeypatch, "periodic_product")
     v = decide(seq)
