@@ -8,14 +8,17 @@ one inherited by a component of the link inside it.  It is exactly
 
 This module is the one place that formula is written, in integers, in
 two loop shapes over links given as (n, 2m) pairs: the batch kernel
-`chain_steps` and the early-exit `chain_walk`.  It imports nothing from
-the package; the shrink stack and the Milnor stack both build on it.
+`chain_steps` and the early-exit `chain_walk`, the orbit-evidence kernel,
+whose step is one multiply, one floor division and one exit test.  It
+imports nothing from the package; the shrink stack and the Milnor stack
+both build on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -58,18 +61,26 @@ def chain_steps(pairs: Iterable[tuple[int, int]], values: Iterable[int]) -> list
     return values
 
 
-def chain_walk(pairs: Sequence[tuple[int, int]], v: int, cap: int) -> tuple[int, int]:
+def chain_walk(pairs: Iterable[tuple[int, int]], v: int, cap: int) -> tuple[int, int]:
     """Apply the DRFs of the links with these (n, 2m) pairs to v >= 1, in
     order, stopping after the step where the value reaches 0 or passes
     `cap`: (value, links applied), the value 0, cap + 1 or that after the
     last link.  Only a step's result is capped, so a v above the cap is
-    stepped like any other."""
-    for applied, (n, two_m) in enumerate(pairs, 1):
+    stepped like any other.
+
+    A step is one multiply, one floor division and one exit test, with no
+    counter: at the exit the links applied are len(pairs) minus the links
+    the iterator has left, which a list or tuple iterator reports exactly
+    (any other iterable is copied to a list first).  The exit test is
+    `not v or v > cap` rather than `not 0 < v <= cap`: a truth test on an
+    int is cheaper than a comparison."""
+    if type(pairs) not in (list, tuple):
+        pairs = list(pairs)
+    links = iter(pairs)
+    for n, two_m in links:
         v = (two_m * v - 1) // n  # chain_steps' formula, v >= 1
-        if not v:
-            return 0, applied
-        if v > cap:
-            return cap + 1, applied
+        if not v or v > cap:
+            return v and cap + 1, len(pairs) - length_hint(links)
     return v, len(pairs)
 
 

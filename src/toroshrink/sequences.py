@@ -357,13 +357,14 @@ def parse_poly(text: str) -> IntPoly:
 def partial_products(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
     """The running products t_1, t_1 t_2, t_1 t_2 t_3, ... of the ratios
     t_i = n_i/(2m_i) of links given as (n, 2m) pairs, formed in integers:
-    one `Fraction` per partial."""
+    one `Fraction` per partial, built from the previous partial's numerator
+    and denominator, so no integer grows beyond the partials themselves."""
     out = []
     num, den = 1, 1
     for n, two_m in pairs:
-        num *= n
-        den *= two_m
-        out.append(Fraction(num, den))
+        partial = Fraction(num * n, den * two_m)
+        num, den = partial.as_integer_ratio()
+        out.append(partial)
     return tuple(out)
 
 
@@ -608,6 +609,11 @@ class GapSequence(LinkSequence):
     unknown tail).  `link_pairs` walks the gaps exactly, so a gap verdict
     carries this sequence itself and its certificate is re-checked
     against it.
+
+    A periodic `one_period` holds sum(values) + len(values) links, so its
+    cost stays linear in sum(values) and cannot fall below that: the
+    `periodic_product` certificate lists one tau per link, and that list
+    is pinned.
     """
 
     kind: str

@@ -560,9 +560,9 @@ def _orbit_evidence(seq, k_max, m_max, p_max) -> dict:
         life = max(runs[lo][1], runs.get(hi, (0, 0))[1])
         if life < p_max and not orbits.read(m + life):
             horizon = True
-        # the first 8 unresolved orbits in (m, k) order
+        # the first 8 unresolved orbits in (m, k) order; orbit hi is in runs
         for k in range(hi, min(k_max, hi + 7 - len(unresolved)) + 1):
-            unresolved.append([k, m, orbits.orbit(k, m)[0]])
+            unresolved.append([k, m, (runs.get(k) or orbits.orbit(k, m))[0]])
     return {
         "orbits_vanishing": resolved,
         "orbits_unresolved": k_max * m_max - resolved,
@@ -586,7 +586,10 @@ class _OrbitPaths:
     step, so its value may be a start k above the cap, which is alive.
     Starts come in increasing order, so each window ends one link after
     the last and never behind a frontier.  `walk` steps a value with
-    `drf.chain_walk`, once per chunk of links it reads ahead.
+    `drf.chain_walk` over the links already read, and reads ahead in
+    doubling chunks only when it reaches their end, so it never steps an
+    empty run of links.  Once a read comes back short, no later read asks
+    the sequence again.
     """
 
     def __init__(self, seq: LinkSequence, m_max: int, p_max: int):
@@ -594,30 +597,34 @@ class _OrbitPaths:
         self.p_max = p_max
         self.meet = m_max - 1  # links applied before link m_max
         self.links: list[tuple[int, int]] = []  # (n, 2m) of links 1, 2, ...
+        self.ended = False  # a read came back short: no later link is known
         self.paths: dict[int, list[int]] = {}  # value at link m_max -> frontier
 
     def read(self, count: int) -> bool:
         """Extend `links` to `count` links; False when they are not known."""
         links = self.links
-        if len(links) < count:
+        if len(links) < count and not self.ended:
             links += self.seq.link_pairs(len(links) + 1, count - len(links))
+            self.ended = len(links) < count
         return len(links) >= count
 
     def walk(self, v: int, pos: int, end: int) -> tuple[int, int]:
         """Apply links pos + 1, ..., end to v, stopping where it vanishes,
         caps or the links run out: (value, links applied)."""
-        links = self.links
-        while True:
+        links, cap = self.links, _ORBIT_VALUE_CAP
+        while pos < end:
+            if pos >= len(links):
+                # read ahead in doubling chunks, within the window
+                self.read(min(end, max(2 * pos, self.meet + 1)))
+                if pos >= len(links):
+                    break  # the links ran out
             # a slice, not islice: islice would skip pos links on every chunk
-            v, applied = chain_walk(links[pos:end], v, _ORBIT_VALUE_CAP)
+            v, applied = chain_walk(links[pos:end], v, cap)
             pos += applied
-            # a value above the cap stops the walk only once a step made it
-            if not v or (applied and v > _ORBIT_VALUE_CAP) or pos >= end:
-                return v, pos
-            # read ahead in doubling chunks, within the window
-            self.read(min(end, max(2 * pos, self.meet + 1)))
-            if pos >= len(links):  # the links ran out
-                return v, pos
+            # the run was not empty, so a value above the cap came from a step
+            if not 0 < v <= cap:
+                break
+        return v, pos
 
     def orbit(self, k: int, m: int) -> tuple[int, int]:
         """(final value, steps taken) of orbit (k, m)."""

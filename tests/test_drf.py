@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toroshrink.drf import chain_orbit, chain_steps, chain_walk, compose, nm_drf
 from toroshrink.freegroup import Word
@@ -54,6 +54,37 @@ def test_chain_walk_stops_where_the_orbit_vanishes_or_caps(links, v, cap):
     else:
         expected = (min(orbit[stop], cap + 1), stop)
     assert chain_walk(pairs, v, cap) == expected
+
+
+def _enumerate_walk(pairs, v, cap):
+    """The counting loop `chain_walk` replaced, kept as its oracle."""
+    for applied, (n, two_m) in enumerate(pairs, 1):
+        v = (two_m * v - 1) // n
+        if not v:
+            return 0, applied
+        if v > cap:
+            return cap + 1, applied
+    return v, len(pairs)
+
+
+_HUGE = st.integers(1, 10**30)
+
+
+@given(
+    links=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)) | st.tuples(_HUGE, _HUGE),
+                   max_size=8),
+    v=st.integers(1, 10**6) | _HUGE,
+    cap=st.integers(1, 10**4) | st.just(10**9),
+)
+@example(links=[], v=5, cap=3)  # no links: v comes back unstepped, above the cap
+@example(links=[(1, 1)] * 3, v=10**20, cap=10**9)  # a start above the cap
+@example(links=[(2**64 + 1, 2**65)] * 4, v=3, cap=10**9)  # links above 2^63
+def test_chain_walk_matches_the_counting_loop(links, v, cap):
+    pairs = [(n, 2 * m) for n, m in links]
+    expected = _enumerate_walk(pairs, v, cap)
+    assert chain_walk(pairs, v, cap) == expected
+    assert chain_walk(tuple(pairs), v, cap) == expected
+    assert chain_walk(iter(pairs), v, cap) == expected
 
 
 def test_bing_formula():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from toroshrink import sequences
 from toroshrink.drf import NMLinkSpec, chain_steps, compose, nm_drf
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
@@ -17,6 +18,7 @@ from toroshrink.sequences import (
     SequenceError,
     parse_poly,
     parse_sequence_config,
+    partial_products,
     sequence_to_config,
 )
 
@@ -659,6 +661,22 @@ def test_period_ascent_matches_the_per_k_composite_oracle(case):
     for upto in range(1, 41):
         expected = first if first is not None and first <= upto else None
         assert seq.one_period.ascent(upto) == expected
+
+
+def test_partial_products_keep_their_integers_reduced(monkeypatch):
+    # each partial is built from the previous one in lowest terms: on 10^4
+    # (2, 2) links every partial is 1, so no integer handed to Fraction may
+    # grow with the index, as the unreduced 2^j / 2^j did
+    sizes = []
+
+    def recording(num, den):
+        sizes.append(max(num.bit_length(), den.bit_length()))
+        return Fraction(num, den)
+
+    monkeypatch.setattr(sequences, "Fraction", recording)
+    partials = partial_products([(2, 2)] * 10**4 + [(1, 2)])
+    assert partials == (Fraction(1),) * 10**4 + (Fraction(1, 2),)
+    assert len(sizes) == 10**4 + 1 and max(sizes) <= 2
 
 
 def test_period_is_none_off_the_periodic_variants():
