@@ -147,10 +147,12 @@ def cmd_milnor(args) -> int:
 
 
 def cmd_drf_eval(args) -> int:
-    from .drf import nm_drf
-    from .sequences import _parse_link_entry
+    from .drf import nm_drf, parse_link_name
 
-    fn = nm_drf(_parse_link_entry(args.link))
+    spec = parse_link_name(args.link)
+    if spec is None:
+        raise ValueError(f"unknown link entry {args.link!r}")
+    fn = nm_drf(spec)
     value = fn(args.k)
     _emit(
         {"version": __version__, "k": args.k, "value": value, "formula": fn.describe()},

@@ -9,9 +9,10 @@ one inherited by a component of the link inside it.  It is exactly
 This module is the one place that formula is written, in integers, in
 two loop shapes over links given as (n, 2m) pairs: the batch kernel
 `chain_steps` and the early-exit `chain_walk`, the orbit-evidence kernel,
-whose step is one multiply, one floor division and one exit test.  It
-imports nothing from the package; the shrink stack and the Milnor stack
-both build on it.
+whose step is one multiply, one floor division and one exit test, and
+the one place a link's name is read, by `parse_link_name` for config link
+entries, `linkio.builtin` and ``drf eval`` alike.  It imports nothing
+from the package; the shrink stack and the Milnor stack both build on it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "NMLinkSpec",
+    "parse_link_name",
     "ExactChainFn",
     "chain_orbit",
     "chain_steps",
@@ -49,6 +51,15 @@ class NMLinkSpec:
 
 
 _NM_SPEC = re.compile(r"nm\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_ALIASES = {"bing": NMLinkSpec(2, 1), "whitehead": NMLinkSpec(1, 1)}
+
+
+def parse_link_name(name: str) -> NMLinkSpec | None:
+    """The chain link named ``nm(n,m)``, ``bing`` (nm(2,1)) or ``whitehead``
+    (nm(1,1)), in any case and spacing; None for any other name."""
+    key = name.strip().lower()
+    match = _NM_SPEC.match(key)
+    return NMLinkSpec(int(match[1]), int(match[2])) if match else _ALIASES.get(key)
 
 
 def chain_steps(pairs: Iterable[tuple[int, int]], values: Iterable[int]) -> list[int]:

@@ -105,10 +105,7 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        out = Word(self.rank)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Word(self.rank, base.letters * abs(n))
 
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)

@@ -41,9 +41,10 @@ Builtin families
 family ``nm(n,m)`` are presentations (meridians plus longitude words).
 ``bing`` is an alias for ``nm(2,1)``.  PD fixtures for the whitehead and
 borromean links back the presentations as cross-check data.  The chain
-link itself, `NMLinkSpec` and its ``nm(n,m)`` spelling, is defined in
-`drf`; this module builds its presentation.  `CoverDerivation` declares
-the derivations behind the lower bounds in `milnor`.
+link and its names are defined in `drf`, and `builtin` reads a name that
+is not a fixture with `drf.parse_link_name`; this module builds the
+presentation.  `CoverDerivation` declares the derivations behind the
+lower bounds in `milnor`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .drf import _NM_SPEC, NMLinkSpec
+from .drf import NMLinkSpec, parse_link_name
 from .freegroup import Word, commutator, parse_word
 
 __all__ = [
@@ -712,14 +713,12 @@ def borromean_presentation() -> LinkPresentation:
 def builtin(name: str) -> LinkData:
     """Builtin link families: nm(n,m), hopf, whitehead, borromean, bing."""
     key = name.strip().lower()
-    msp = _NM_SPEC.match(key)
-    if msp:
-        return nm_presentation(NMLinkSpec(int(msp.group(1)), int(msp.group(2))))
     if key in ("hopf", "whitehead"):
         return pd_fixture(key)
     if key == "borromean":
         return borromean_presentation()
-    if key == "bing":
-        return nm_presentation(NMLinkSpec(2, 1))
-    raise ValueError(f"unknown builtin link {name!r}")
+    spec = parse_link_name(name)
+    if spec is None:
+        raise ValueError(f"unknown builtin link {name!r}")
+    return nm_presentation(spec)
 

@@ -183,12 +183,10 @@ def reduce_longitude(wp: WirtingerPresentation, component: int, q: int) -> Word:
 def _longitude_from_arcs(
     wp: WirtingerPresentation, component: int, eta: dict[int, Word], rank: int
 ) -> Word:
-    word = Word(rank)
-    for over_arc, s in wp.under_passes[component]:
-        word = word * (eta[over_arc] ** s)
-    e = word.exponent_sum(component)
-    word = word * (Word(rank, [(component, 1)]) ** (-e))
-    return word
+    # the under-pass factors, concatenated and reduced once
+    factors = (eta[over_arc] ** s for over_arc, s in wp.under_passes[component])
+    word = Word(rank, [letter for factor in factors for letter in factor.letters])
+    return word * Word(rank, [(component, 1)]) ** -word.exponent_sum(component)
 
 
 @lru_cache(maxsize=512)

@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .drf import _NM_SPEC, NMLinkSpec, chain_steps
+from .drf import NMLinkSpec, chain_steps, parse_link_name
 
 __all__ = [
     "IntPoly",
@@ -386,7 +386,7 @@ class Period:
         self.taus = tuple(Fraction(n, two_m) for n, two_m in pairs)
         self.block_partials = partial_products(pairs)
         self.product = self.block_partials[-1]
-        self.partials = partial_products(head + pairs)
+        self.partials = partial_products(head + pairs) if head else self.block_partials
 
     @property
     def slope(self) -> Fraction:
@@ -713,21 +713,12 @@ class GapSequence(LinkSequence):
 # -- config parsing ------------------------------------------------------------
 
 
-_LINK_ALIASES = {
-    "bing": (2, 1),
-    "whitehead": (1, 1),
-}
-
-
 def _parse_link_entry(entry) -> NMLinkSpec:
     if isinstance(entry, str):
-        key = entry.strip().lower()
-        if key in _LINK_ALIASES:
-            return NMLinkSpec(*_LINK_ALIASES[key])
-        m = _NM_SPEC.match(key)
-        if m:
-            return NMLinkSpec(int(m.group(1)), int(m.group(2)))
-        raise SequenceError(f"unknown link entry {entry!r}")
+        spec = parse_link_name(entry)
+        if spec is None:
+            raise SequenceError(f"unknown link entry {entry!r}")
+        return spec
     if isinstance(entry, dict) and "nm" in entry:
         pair = _reads(entry, f"link entry {entry!r}", "nm")["nm"]
         # JSON true and false are ints in Python, but not link sizes

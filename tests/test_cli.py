@@ -22,6 +22,12 @@ def test_drf_eval_fig4(capsys):
     assert out.strip() == "10"
 
 
+def test_drf_eval_unknown_link_is_an_input_error(capsys):
+    code, out, err = run(capsys, "drf", "eval", "--link", "x", "--k", "8")
+    assert (code, out) == (3, "")
+    assert err == "toroshrink: error: unknown link entry 'x'\n"
+
+
 def test_link_info_builtin(capsys):
     code, out, _ = run(capsys, "link", "info", "--builtin", "nm(4,3)")
     assert code == 0

@@ -5,10 +5,27 @@ from math import ceil
 import pytest
 from hypothesis import example, given, strategies as st
 
-from toroshrink.drf import chain_orbit, chain_steps, chain_walk, compose, nm_drf
+from toroshrink.drf import (
+    NMLinkSpec,
+    chain_orbit,
+    chain_steps,
+    chain_walk,
+    compose,
+    nm_drf,
+    parse_link_name,
+)
 from toroshrink.freegroup import Word
-from toroshrink.linkio import CoverDerivation, LinkPresentation
+from toroshrink.linkio import (
+    CoverDerivation,
+    LinkPresentation,
+    PDCode,
+    builtin,
+    format_pd,
+    nm_presentation,
+    pd_fixture,
+)
 from toroshrink.milnor import MilnorLowerFn, WitnessError, lower_milnor_drf, nm_lower_drf
+from toroshrink.sequences import SequenceError, parse_sequence_config
 
 
 def fraction_ceil(a, b):
@@ -228,3 +245,62 @@ def test_compose_pure_bing():
 
 def test_compose_empty():
     assert compose([], 7) == [7]
+
+
+
+# -- link names --------------------------------------------------------
+
+
+def _outcome(read):
+    """What `read()` returns, or its exception's exact type and message."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BAD_CHAIN = (ValueError, "chain length n and winding number m must be >= 1")
+
+
+# what a periodic config's link entry and `builtin` read from each name: a
+# chain link (builtin builds its presentation), the whitehead diagram, or
+# an error
+@pytest.mark.parametrize(
+    "name, entry, built",
+    [
+        ("bing", NMLinkSpec(2, 1), NMLinkSpec(2, 1)),
+        (" Bing ", NMLinkSpec(2, 1), NMLinkSpec(2, 1)),
+        ("whitehead", NMLinkSpec(1, 1), "whitehead diagram"),
+        ("WHITEHEAD", NMLinkSpec(1, 1), "whitehead diagram"),
+        ("nm(3,2)", NMLinkSpec(3, 2), NMLinkSpec(3, 2)),
+        ("nm( 3 , 2 )", NMLinkSpec(3, 2), NMLinkSpec(3, 2)),
+        ("NM(1,1)", NMLinkSpec(1, 1), NMLinkSpec(1, 1)),
+        (
+            "trefoil",
+            (SequenceError, "unknown link entry 'trefoil'"),
+            (ValueError, "unknown builtin link 'trefoil'"),
+        ),
+        ("nm(0,1)", BAD_CHAIN, BAD_CHAIN),
+    ],
+)
+def test_link_entries_and_builtins_read_the_same_names(name, entry, built):
+    config = {"variant": "periodic", "links": [name]}
+    assert _outcome(lambda: parse_sequence_config(config).links[0]) == entry
+    link = _outcome(lambda: builtin(name))
+    if isinstance(built, NMLinkSpec):
+        assert link == nm_presentation(built)
+    elif built == "whitehead diagram":
+        assert isinstance(link, PDCode)
+        assert format_pd(link) == format_pd(pd_fixture("whitehead"))
+    else:
+        assert link == built
+
+
+@given(n=st.integers(1, 10**6), m=st.integers(1, 10**6))
+def test_a_link_name_reads_back_as_its_link(n, m):
+    assert parse_link_name(str(NMLinkSpec(n, m))) == NMLinkSpec(n, m)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "nm", "nm(2)", "nm(2,1)x", "bing2", ""])
+def test_a_name_of_no_chain_link_reads_as_none(name):
+    assert parse_link_name(name) is None

@@ -36,13 +36,16 @@ LAYERS = {
 }
 
 
-def _package_imports(module: str) -> set[str]:
-    """Every package module that `module` imports, function bodies included."""
+def _tree(module: str) -> ast.Module:
     path = os.path.join(os.path.dirname(toroshrink.__file__), f"{module}.py")
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+def _package_imports(module: str) -> set[str]:
+    """Every package module that `module` imports, function bodies included."""
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -61,6 +64,32 @@ def _package_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_imports_run_one_way_between_the_stacks(module):
     assert _package_imports(module) <= LAYERS[module]
+
+
+SUBMODULES = sorted(name.split(".")[1] for name in MODULES[1:])
+
+
+def _exports(module: str, name: str) -> bool:
+    """Whether `name` is public in the package module (or, for "", the
+    package): listed in its `__all__`, or, where it has none, a name
+    without a leading underscore."""
+    owner = importlib.import_module(".".join(filter(None, ("toroshrink", module))))
+    public = getattr(owner, "__all__", None)
+    return not name.startswith("_") if public is None else name in public
+
+
+# a module reads a sibling only through the names that the sibling exports,
+# so a private name such as a regex or a helper has one reader, its owner
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_modules_import_only_what_their_siblings_export(module):
+    private = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ("toroshrink" if node.level else "", node.module)))
+            package, _, sibling = source.partition(".")
+            if package == "toroshrink":
+                private += [f"{sibling}.{a.name}" for a in node.names if not _exports(sibling, a.name)]
+    assert private == []
 
 
 def _stack(module: str) -> list[str]:
@@ -125,8 +154,9 @@ NEAR_MISS = os.path.join(os.path.dirname(__file__), "data", "decide_near_miss.js
     [
         (["shrink", "decide", "--config", NEAR_MISS], "shrink"),
         (["milnor", "--builtin", "borromean", "--all-upto-length", "3"], "milnor"),
+        (["drf", "eval", "--link", "nm(3,2)", "--k", "8"], "drf"),
     ],
-    ids=["shrink-decide", "milnor"],
+    ids=["shrink-decide", "milnor", "drf-eval"],
 )
 def test_a_command_loads_only_its_own_stack(argv, stack):
     loaded = _loaded_after(f"from toroshrink.cli import main\nmain({argv!r})")

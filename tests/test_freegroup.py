@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toroshrink.freegroup import (
     GeneratorRange,
@@ -92,10 +92,19 @@ def test_inverse_laws(letters):
     assert w.inverse().inverse() == w
 
 
-def test_power():
+@given(letters_st, letters_st, st.integers(-4, 4))
+@example([(1, 1)], [(2, 1)], 3)  # x1 x2 x1^-1: each junction cancels x1^-1 x1
+def test_power(outer, inner, n):
     assert x1**3 == Word(3, [(1, 1)] * 3)
     assert x1**-2 == Word(3, [(1, -1)] * 2)
     assert (x1**0).is_identity()
+    # a conjugate u v u^-1 cancels where one copy meets the next
+    u = Word(3, outer)
+    w = u * Word(3, inner) * u.inverse()
+    repeated = Word(3)
+    for _ in range(abs(n)):
+        repeated = repeated * (w if n >= 0 else w.inverse())
+    assert w**n == repeated
 
 
 # -- text syntax -------------------------------------------------------

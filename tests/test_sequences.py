@@ -781,3 +781,22 @@ def test_link_pairs_reject_index_zero(seq):
         seq.link_pairs(0, 3)
     with pytest.raises(SequenceError):
         seq.link(0)
+
+
+# a period with no head has partials equal to its block partials, formed once
+@pytest.mark.parametrize(
+    "seq",
+    [PeriodicSequence(((2, 1), (1, 1))), GapSequence.periodic([2, 0, 1])],
+    ids=["periodic", "periodic-gaps"],
+)
+def test_a_headless_period_forms_its_partial_products_once(monkeypatch, seq):
+    calls = []
+
+    def counting(pairs):
+        calls.append(pairs)
+        return partial_products(pairs)
+
+    monkeypatch.setattr(sequences, "partial_products", counting)
+    period = seq.one_period
+    assert len(calls) == 1
+    assert period.partials == period.block_partials == partial_products(period.pairs)
