@@ -163,15 +163,19 @@ def cmd_drf_eval(args) -> int:
 
 
 def cmd_drf_orbit(args) -> int:
-    from .drf import compose, nm_drf
-    from .sequences import parse_sequence_config
+    from .drf import chain_orbit
+    from .sequences import HorizonError, parse_sequence_config
 
     with open(args.sequence, encoding="utf-8") as fh:
         seq = parse_sequence_config(fh.read())
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, not {args.steps}")
-    fns = [nm_drf(seq.link(i)) for i in range(1, args.steps + 1)]
-    orbit = compose(fns, args.k)
+    pairs = seq.link_pairs(1, args.steps)
+    if len(pairs) < args.steps:
+        raise HorizonError(f"link {len(pairs) + 1} beyond the declared data")
+    if args.k < 0 and pairs:
+        raise ValueError("interlacing count must be nonnegative")
+    orbit = chain_orbit(pairs, args.k)
     _emit(
         {"version": __version__, "k": args.k, "orbit": orbit},
         args,

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, count, cycle, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .drf import NMLinkSpec, chain_steps, parse_link_name
 
@@ -114,22 +114,6 @@ class IntPoly:
         out = 0
         for c in reversed(self.coeffs):
             out = out * i + c
-        return out
-
-    def values(self, start: int, count: int) -> list[int]:
-        """[p(start), p(start + 1), ..., p(start + count - 1)] by forward
-        differences: one running sum over the list per degree."""
-        if count < 1:
-            return []
-        degree = max(self.degree, 0)
-        row = [self(start + j) for j in range(degree + 1)]
-        heads = []  # heads[j]: the j-th forward difference at start
-        for _ in range(degree + 1):
-            heads.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
-        out = [heads.pop()] * count
-        for head in reversed(heads):
-            out = list(accumulate(out[:-1], initial=head))
         return out
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
@@ -368,6 +352,12 @@ def partial_products(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _checked(first: int) -> int:
+    if first < 1:
+        raise SequenceError("sequence indices start at 1")
+    return first
+
+
 class Period:
     """The head (the links before the first period) and one period of a
     periodic or eventually periodic sequence, as (n, 2m) pairs, with the
@@ -392,6 +382,12 @@ class Period:
     def slope(self) -> Fraction:
         return 1 / self.product
 
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        """Links first, first + 1, ... of the head and then the period repeated."""
+        skip = _checked(first) - 1
+        turn = max(skip - len(self.head), 0) % len(self.pairs)
+        return chain(self.head[skip:], islice(cycle(self.pairs), turn, None))
+
     def ascent(self, upto: int) -> int | None:
         """The least k in 1..upto with g(k) >= k, g the composed DRFs of one
         period, or None when g descends on all of them; g runs once over
@@ -401,15 +397,20 @@ class Period:
 
 
 class LinkSequence:
-    """Interface: link_pairs(first, count), the (n, 2m) of links first,
-    ..., first + count - 1, cut where the links stop being known, is the
-    one link reader a variant implements; link(i) is its one-link case.
+    """Interface: links_from(first), the (n, 2m) of links first, first + 1,
+    ... as an endless iterator that stops only where the links stop being
+    known, is the one link reader a variant implements.  link_pairs(first,
+    count) takes count of them and link(i) one, both derived here.
     one_period is the `Period` of the periodic variants (None otherwise)."""
 
     one_period: Period | None = None
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:  # pragma: no cover
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:  # pragma: no cover
         raise NotImplementedError
+
+    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
+        """(n, 2m) of links first, ..., first + count - 1, while they are known."""
+        return list(islice(self.links_from(first), count))
 
     def link(self, i: int) -> NMLinkSpec:
         pairs = self.link_pairs(i, 1)
@@ -431,19 +432,8 @@ def _coerce_specs(links: Sequence) -> tuple[NMLinkSpec, ...]:
     return tuple(out)
 
 
-def _table_pairs(
-    first: int, count: int, head: Sequence[NMLinkSpec], cycle: Sequence[NMLinkSpec]
-) -> list[tuple[int, int]]:
-    """(n, 2m) of links first, ..., first + count - 1 of the table that
-    reads `head` and then repeats `cycle`; it ends with `head` when
-    `cycle` is empty.  Only the links asked for are converted."""
-    if first < 1:
-        raise SequenceError("sequence indices start at 1")
-    lo, hi = first - 1, first - 1 + count
-    specs = list(head[lo:hi])
-    if cycle:
-        specs += (cycle[(j - len(head)) % len(cycle)] for j in range(max(lo, len(head)), hi))
-    return [(spec.n, 2 * spec.m) for spec in specs]
+def _pairs(specs: Iterable[NMLinkSpec]) -> tuple[tuple[int, int], ...]:
+    return tuple((spec.n, 2 * spec.m) for spec in specs)
 
 
 @dataclass(frozen=True)
@@ -461,10 +451,10 @@ class PeriodicSequence(LinkSequence):
 
     @cached_property
     def one_period(self) -> Period:
-        return Period((), tuple(self.link_pairs(1, self.period)))
+        return Period((), _pairs(self.links))
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        return _table_pairs(first, count, (), self.links)
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        return self.one_period.links_from(first)
 
 
 @dataclass(frozen=True)
@@ -480,12 +470,10 @@ class EventuallyPeriodicSequence(LinkSequence):
 
     @cached_property
     def one_period(self) -> Period:
-        head = len(self.prefix)
-        pairs = tuple(self.link_pairs(1, head + len(self.tail)))
-        return Period(pairs[:head], pairs[head:])
+        return Period(_pairs(self.prefix), _pairs(self.tail))
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        return _table_pairs(first, count, self.prefix, self.tail)
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        return self.one_period.links_from(first)
 
 
 @dataclass(frozen=True)
@@ -527,7 +515,9 @@ class GeneratorSequence(LinkSequence):
 
     `branches` holds these cases as `Branch`es, the one table that maps a
     case's parameter s to a link index.  Positivity n >= 1 and m >= 1 on
-    every branch is checked exactly at construction time.
+    every branch is checked exactly at construction time.  `links_from`
+    evaluates each polynomial degree + 1 times, for its forward
+    differences, and streams every later value as running sums.
     """
 
     n_poly: IntPoly | None = None
@@ -566,18 +556,31 @@ class GeneratorSequence(LinkSequence):
             Branch("odd", self.odd_n, self.odd_m, 0, 2, 1),
         )
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        # each branch fills its own residue class of indices, straight from
-        # its polynomials; construction already checked n, m >= 1
-        if first < 1:
-            raise SequenceError("sequence indices start at 1")
-        out = [None] * count
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        # a stream per branch, taken in turn from the branch of link first;
+        # construction already checked n, m >= 1
+        turn = _checked(first) % 2  # branches[i % 2] holds link i
+        streams = []
         for b in self.branches:
-            i = first + (b.offset - first) % b.step  # first index on b
-            size = len(range(i, first + count, b.step))
-            s = b.param(i)
-            out[i - first :: b.step] = zip(b.n.values(s, size), b.m.scaled(2).values(s, size))
-        return out
+            s = b.param(first + (b.offset - first) % b.step)  # first s on b
+            streams.append(zip(_values_from(b.n, s), _values_from(b.m, s, 2)))
+        if len(streams) == 1:
+            return streams[0]
+        return chain.from_iterable(zip(streams[turn], streams[1 - turn]))
+
+
+def _values_from(p: IntPoly, s: int, scale: int = 1) -> Iterator[int]:
+    """scale * p(s), scale * p(s + 1), ... endlessly, from degree + 1
+    evaluations of p: one `accumulate` per forward difference."""
+    row = [scale * p(s + j) for j in range(max(p.degree, 0) + 1)]
+    heads = []  # heads[j]: the j-th forward difference at s
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = repeat(heads.pop())
+    for head in reversed(heads):
+        values = accumulate(values, initial=head)
+    return values
 
 
 @dataclass(frozen=True)
@@ -591,8 +594,8 @@ class ExplicitSequence(LinkSequence):
         if not self.links:
             raise SequenceError("explicit sequence needs at least one link")
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        return _table_pairs(first, count, self.links, ())
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        return iter(_pairs(self.links[_checked(first) - 1 :]))
 
 
 # -- gap sequences for mixed Bing-Whitehead decompositions --------------------
@@ -606,7 +609,7 @@ class GapSequence(LinkSequence):
     kind: 'periodic' (values cycle; `one_period` holds the links of one
     cycle), 'poly' (c(i) closed form), 'two_pow' (c(i) = a*2^i + p(i), p
     the zero polynomial when not given), or 'explicit' (finite prefix,
-    unknown tail).  `link_pairs` walks the gaps exactly, so a gap verdict
+    unknown tail).  `links_from` walks the gaps exactly, so a gap verdict
     carries this sequence itself and its certificate is re-checked
     against it.
 
@@ -682,25 +685,22 @@ class GapSequence(LinkSequence):
         """c_i / 2^i, the decisive series term."""
         return Fraction(self.gap(i), 2**i)
 
-    def link_pairs(self, first: int, count: int) -> list[tuple[int, int]]:
-        # one walk over the gaps, each gap read once
-        if first < 1:
-            raise SequenceError("sequence indices start at 1")
-        out: list[tuple[int, int]] = []
-        last = first + count - 1
-        end, g = 0, 0  # gaps 1..g fill links 1..end
-        while end < last:
-            g += 1
+    def links_from(self, first: int) -> Iterator[tuple[int, int]]:
+        return chain.from_iterable(self._runs_after(_checked(first) - 1))
+
+    def _runs_after(self, skip: int) -> Iterator[Iterable[tuple[int, int]]]:
+        """The links after the first `skip` in runs, gap g as c_g (2,1) links
+        and one (1,1); each gap is read once, when the walk reaches it."""
+        end = 0  # gaps 1..g fill links 1..end
+        for g in count(1):
             try:
                 c = self.gap(g)
             except HorizonError:
-                break
-            # gap g: links end+1 .. end+c are (2,1), link end+c+1 is (1,1)
-            out += [(2, 2)] * (min(end + c, last) - max(end, first - 1))
+                return
             end += c + 1
-            if first <= end <= last:
-                out.append((1, 2))
-        return out
+            if end > skip:
+                yield repeat((2, 2), min(c, end - 1 - skip))
+                yield ((1, 2),)
 
     @cached_property
     def one_period(self) -> Period | None:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 from typing import Optional
 
 from .drf import chain_orbit, chain_steps, chain_walk
@@ -588,24 +590,23 @@ class _OrbitPaths:
     the last and never behind a frontier.  `walk` steps a value with
     `drf.chain_walk` over the links already read, and reads ahead in
     doubling chunks only when it reaches their end, so it never steps an
-    empty run of links.  Once a read comes back short, no later read asks
-    the sequence again.
+    empty run of links.  The links come from one `links_from(1)` stream,
+    so a later chunk goes on where the last one stopped, and once the
+    stream ends every later read finds it ended.
     """
 
     def __init__(self, seq: LinkSequence, m_max: int, p_max: int):
-        self.seq = seq
+        self.stream = seq.links_from(1)
         self.p_max = p_max
         self.meet = m_max - 1  # links applied before link m_max
         self.links: list[tuple[int, int]] = []  # (n, 2m) of links 1, 2, ...
-        self.ended = False  # a read came back short: no later link is known
         self.paths: dict[int, list[int]] = {}  # value at link m_max -> frontier
 
     def read(self, count: int) -> bool:
         """Extend `links` to `count` links; False when they are not known."""
         links = self.links
-        if len(links) < count and not self.ended:
-            links += self.seq.link_pairs(len(links) + 1, count - len(links))
-            self.ended = len(links) < count
+        if len(links) < count:
+            links += islice(self.stream, count - len(links))
         return len(links) >= count
 
     def walk(self, v: int, pos: int, end: int) -> tuple[int, int]:
@@ -763,16 +764,36 @@ def _telescopes_numerically(seq, first: Branch) -> bool:
     """The composite over an aligned pair must be exactly k-1, except that
     a pair slope of 1 gives max(k-2, 0); both decrement.  Checked for the
     pairs s = first.first, ..., 50, whose links are read in one run."""
-    ks = (1, 2, 3, 5, 17, 1000)
     start = first.index(first.first)
     pairs = seq.link_pairs(start, first.index(50) + 2 - start)
-    for s in range(first.first, 51):
-        j = first.index(s) - start
-        n, two_m = pairs[j]
-        drop = 1 if two_m // n > 1 else 2
-        if chain_steps(pairs[j : j + 2], ks) != [max(k - drop, 0) for k in ks]:
-            return False
-    return True
+    return all(
+        _pair_decrements(*pairs[j : j + 2])
+        for j in (first.index(s) - start for s in range(first.first, 51))
+    )
+
+
+def _pair_decrements(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """Whether the DRFs of two links, given as (n, 2m), compose to
+    h(k) = max(k - drop, 0) for every k <= 1000, where drop is 1 when
+    2m // n of the first link is above 1 and 2 otherwise.
+
+    Reduced by its gcd g, a link's (n', 2m') = (n, 2m)/g gives
+    f(v + n') = f(v) + 2m' for v >= 1.  So with L = n1' n2'/gcd(2m1', n2'),
+    f1(k + L) = f1(k) + (2m1' / gcd(2m1', n2')) n2' wherever k >= 1, and
+    h(k + L) = h(k) + L wherever f1(k) >= 1, from k = n1 // 2m1 + 1 on,
+    exactly when the composite slope 2m1 2m2 / (n1 n2) is 1.  Then
+    h(k) - max(k - drop, 0) has period L from k0 = max(n1 // 2m1 + 1, drop)
+    on, so k = 1, ..., k0 + L - 1 stand for every k; otherwise all 1000
+    are checked."""
+    (n1, two_m1), (n2, two_m2) = first, second
+    drop = 1 if two_m1 // n1 > 1 else 2
+    upto = 1000
+    if two_m1 * two_m2 == n1 * n2:
+        g1, g2 = gcd(n1, two_m1), gcd(n2, two_m2)
+        period = n1 // g1 * (n2 // g2) // gcd(two_m1 // g1, n2 // g2)
+        upto = min(upto, max(n1 // two_m1 + 1, drop) + period - 1)
+    ks = range(1, upto + 1)
+    return chain_steps((first, second), ks) == [max(k - drop, 0) for k in ks]
 
 
 # -- aggregation ---------------------------------------------------------------------

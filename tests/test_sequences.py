@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -688,7 +689,7 @@ def test_period_is_none_off_the_periodic_variants():
     assert ExplicitSequence(((2, 1), (1, 1))).one_period is None
 
 
-# -- link_pairs, the bulk read of the orbit steppers ----------------------------
+# -- links_from, the one link reader, and link_pairs read from it ------------
 
 # n and m terms up to degree 4, >= 1 at every s >= 0
 _bulk_term = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(
@@ -741,12 +742,33 @@ def _written_links(seq, upto):
     return [(spec.n, spec.m) for spec in specs]
 
 
+# even (3s + 1, s^2 + 2), odd (s^3 + 5, 4): the branches differ in degree
+_TWO_CASE = GeneratorSequence(
+    even_n=parse_poly("3*s + 1"), even_m=parse_poly("s^2 + 2"),
+    odd_n=parse_poly("s^3 + 5"), odd_m=parse_poly("4"),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(seq=_any_sequence, first=st.integers(1, 40), count=st.integers(0, 40))
-def test_link_pairs_match_link(seq, first, count):
-    written = _written_links(seq, first + count - 1)
+@given(
+    seq=_any_sequence,
+    first=st.integers(1, 40),
+    count=st.integers(0, 40),
+    pieces=st.lists(st.integers(0, 20), max_size=5),
+)
+@example(seq=_TWO_CASE, first=1, count=6, pieces=[1, 0, 2, 5])  # starts on an odd link
+@example(seq=_TWO_CASE, first=4, count=6, pieces=[3, 1, 4])  # starts on an even link
+def test_link_pairs_match_link(seq, first, count, pieces):
+    written = _written_links(seq, first + max(count, sum(pieces)) - 1)
     expected = [(n, 2 * m) for n, m in written[first - 1 :]]
-    assert seq.link_pairs(first, count) == expected
+    assert seq.link_pairs(first, count) == expected[:count]
+    # one stream read in pieces, as orbit evidence reads it: each piece goes
+    # on where the last one stopped
+    stream = seq.links_from(first)
+    links = []
+    for piece in pieces:
+        links += islice(stream, piece)
+    assert links == expected[: sum(pieces)]
     for i in range(first, first + count):
         if i <= len(written):
             assert (seq.link(i).n, seq.link(i).m) == written[i - 1]
@@ -759,10 +781,12 @@ def test_link_pairs_match_link(seq, first, count):
     coeffs=st.lists(st.integers(-50, 50), max_size=6),
     start=st.integers(-30, 30),
     count=st.integers(0, 30),
+    scale=st.sampled_from([1, 2]),
 )
-def test_poly_values_match_evaluation(coeffs, start, count):
+def test_poly_values_match_evaluation(coeffs, start, count, scale):
     p = IntPoly(tuple(coeffs))
-    assert p.values(start, count) == [p(i) for i in range(start, start + count)]
+    values = sequences._values_from(p, start, scale)
+    assert list(islice(values, count)) == [scale * p(i) for i in range(start, start + count)]
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import toroshrink
+from toroshrink.drf import chain_steps
 from toroshrink.sequences import (
     EventuallyPeriodicSequence,
     ExplicitSequence,
@@ -40,6 +41,7 @@ from toroshrink.shrink import (
     _geometric_verdict,
     _orbit_evidence,
     _OrbitPaths,
+    _pair_decrements,
     _telescopes_numerically,
 )
 
@@ -667,6 +669,35 @@ def test_orbit_path_from_a_start_above_the_cap_takes_a_step(m_max):
     assert orbits.orbit(10**9 + 1, m_max) == (10**9 - 4, 5)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        # tau -> 1 from below, and a near-miss of Example 5.6
+        GeneratorSequence(n_poly=parse_poly("2*i^4 - 1"), m_poly=parse_poly("i^4")),
+        GeneratorSequence(
+            even_n=parse_poly("2*s^2"), even_m=parse_poly("1"),
+            odd_n=parse_poly("2"), odd_m=parse_poly("(s+1)^2 + 2"),
+        ),
+    ],
+    ids=["one-case", "two-case"],
+)
+def test_orbit_evidence_evaluates_each_branch_polynomial_once_per_coefficient(monkeypatch, seq):
+    # one link stream per evidence run: each polynomial is evaluated
+    # degree + 1 times, for its forward differences, however many chunks
+    # of links the orbits read
+    calls = []
+    horner = IntPoly.__call__
+
+    def counting(p, i):
+        calls.append(p)
+        return horner(p, i)
+
+    monkeypatch.setattr(IntPoly, "__call__", counting)
+    evidence = _orbit_evidence(seq, 64, 8, 10_000)
+    assert evidence["orbits_unresolved"] > 0
+    assert len(calls) == sum(p.degree + 1 for b in seq.branches for p in (b.n, b.m))
+
+
 def test_orbit_decide_degree_five_generator_is_unknown():
     seq = GeneratorSequence(n_poly=parse_poly("2*i^5 - 1"), m_poly=parse_poly("i^5"))
     v = orbit_decide(seq)
@@ -961,6 +992,36 @@ def test_telescoping_check_reads_every_pair():
         for off in (first.index(s), first.index(s) + 1):
             seq = _example_56_with_link_off(off)
             assert not _telescopes_numerically(seq, first), (s, off)
+
+
+@st.composite
+def _link_pairs(draw):
+    """Two links as (n, 2m): any two, two whose composite slope
+    2m1 2m2 / (n1 n2) is 1, or a telescoping pair (n, c n), (2 m c, 2 m)
+    with each entry moved by a little."""
+    kind = draw(st.sampled_from(["any", "slope one", "near telescoping"]))
+    link = st.tuples(st.integers(1, 60), st.integers(1, 60).map(lambda m: 2 * m))
+    if kind == "any":
+        return draw(link), draw(link)
+    if kind == "slope one":
+        n, two_m = draw(link)
+        return (n, two_m), (2 * two_m, 2 * n)
+    n, c, m = draw(st.integers(1, 30)), draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    d = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+    return (
+        (max(n + d[0], 1), max(c * n + 2 * d[1], 2)),
+        (max(2 * m * c + d[2], 1), max(2 * m + 2 * d[3], 2)),
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_link_pairs())
+@example(((4, 2), (4, 8)))  # slope 1, first wrong at k = 4, the last k it needs
+def test_pair_decrements_matches_every_k_up_to_1000(pair):
+    drop = 1 if pair[0][1] // pair[0][0] > 1 else 2
+    ks = range(1, 1001)
+    expected = chain_steps(pair, ks) == [max(k - drop, 0) for k in ks]
+    assert _pair_decrements(*pair) == expected
 
 
 @pytest.mark.parametrize("s", [21, 37, 50])
