@@ -2,9 +2,10 @@
 
 Subcommands: link info, milnor, drf eval, drf orbit, shrink decide,
 report.  `shrink decide` exits 0 for a shrinkable decomposition, 1 for a
-non-shrinkable one and 2 for unknown; usage, input and any other errors
-exit 3 with one line on stderr.  Each command imports its own modules
-when it runs, so a command loads only the stack it uses.
+non-shrinkable one and 2 for unknown; usage, input and any other errors,
+a certificate that fails its re-check among them, exit 3 with one line
+on stderr.  Each command imports its own modules when it runs, so a
+command loads only the stack it uses.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def cmd_shrink(args) -> int:
         seq = parse_sequence_config(fh.read())
     k_max, m_max, p_max = _horizons(args)
     verdict = decide(seq, k_max=k_max, m_max=m_max, p_max=p_max)
-    recheck = verify_certificate(verdict)
+    if not verify_certificate(verdict):
+        raise RuntimeError(f"the {verdict.criterion} certificate failed its re-check")
     payload = {
         "version": __version__,
         "input": sequence_to_config(seq),
@@ -214,7 +216,7 @@ def cmd_shrink(args) -> int:
         "criterion": verdict.criterion,
         "certificate": verdict.certificate,
         "corroborating": [list(pair) for pair in verdict.corroborating],
-        "certificate_verified": recheck,
+        "certificate_verified": True,
     }
     if verdict.evidence:
         payload["evidence"] = verdict.evidence
@@ -222,7 +224,7 @@ def cmd_shrink(args) -> int:
         f"verdict: {verdict.outcome}",
         f"criterion: {verdict.criterion}",
         f"certificate: {json.dumps(verdict.certificate, sort_keys=True)}",
-        f"certificate re-check: {'ok' if recheck else 'FAILED'}",
+        "certificate re-check: ok",
     ]
     if verdict.corroborating:
         lines.append(

@@ -19,9 +19,12 @@ No infinite series is ever decided numerically: a verdict requires a
 symbolic certificate (periodic product, geometric ratio, term bound,
 ratio test, harmonic comparison, or a telescoping composite), validated
 against the sequence variant.  Every verdict carries its sequence (a gap
-verdict its `GapSequence`), and :func:`verify_certificate` re-checks the
-certificate against it.  A criterion that does not apply declines with a
-reason; when all decline, the verdict is an honest Unknown with orbit evidence.
+verdict its `GapSequence`).  A criterion states the checks its
+certificate rests on (the periodic descent range, the period trace that
+must end at or above k0, the telescoping pairs' range), and only
+:func:`verify_certificate` runs them, against that sequence.  A
+criterion that does not apply declines with a reason; when all decline,
+the verdict is an honest Unknown with orbit evidence.
 """
 
 from __future__ import annotations
@@ -662,38 +665,29 @@ def _offset_sum(period: Period) -> Fraction:
 
 
 def _decide_periodic_orbits(seq, period: Period) -> ShrinkVerdict:
+    """The orbit certificate of a periodic variant, decided by its slope: it
+    states the descent check or the period trace, which the verifier runs."""
     a = period.slope
     if a <= 1:
         # the default horizon, not the caller's: horizons shape only Unknown evidence
         bound = (a.numerator + a.denominator) * len(period.pairs)
         k_star = min(max(bound, DEFAULT_K_MAX), _DESCENT_CHECK_MAX)
-        k = period.ascent(k_star)
-        if k is not None:
-            raise VerdictConsistencyError(
-                f"slope {a} <= 1 but the period composite does not descend at {k}"
-            )
-        trace = _trace_orbit(period.pairs, 8)
         cert = {
             "kind": "orbit_periodic",
             "slope": str(a),
             "descent": _descent_text(k_star, a),
             "checked_upto": k_star,
-            "sample_orbit": trace,
+            "sample_orbit": _trace_orbit(period.pairs, 8),
         }
         return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
     offsets = _offset_sum(period)
     k0 = int(offsets / (a - 1)) + 1
-    one_period = chain_orbit(period.pairs, k0)
-    if one_period[-1] < k0:
-        raise VerdictConsistencyError(
-            f"slope {a} > 1 but g({k0}) = {one_period[-1]} < {k0}"
-        )
     cert = {
         "kind": "orbit_periodic",
         "slope": str(a),
         "offset_sum": str(offsets),
         "k0": k0,
-        "period_trace_from_k0": one_period,
+        "period_trace_from_k0": chain_orbit(period.pairs, k0),
         "monotone_argument": _MONOTONE_ARGUMENT,
         "start_index": len(period.head) + 1,
     }
@@ -855,7 +849,9 @@ def verify_certificate(verdict: ShrinkVerdict) -> bool:
     """Re-evaluate a verdict's certificate from its sequence.
 
     Every arithmetic claim stored in the certificate is recomputed from
-    the raw sequence; any mismatch, a label no criterion writes, or an
+    the raw sequence, and every check it states (the periodic descent,
+    the period trace from k0, the telescoping pairs) runs here and not in
+    the producer; any mismatch, a label no criterion writes, or an
     outcome that does not follow from the certified facts, yields False.
     The check is not independent of the producers: it reads the same
     `Period` and `Branch` data and reuses their exact-sum, geometric-ratio,
@@ -863,7 +859,7 @@ def verify_certificate(verdict: ShrinkVerdict) -> bool:
     """
     try:
         return _verify(verdict)
-    except (VerdictConsistencyError, HorizonError, KeyError, ValueError, TypeError):
+    except (HorizonError, KeyError, ValueError, TypeError):
         return False
 
 

@@ -121,6 +121,24 @@ def test_milnor_formats_each_longitude_once(capsys, monkeypatch):
     assert len(calls) == 6
 
 
+def test_milnor_dump_series(capsys):
+    from toroshrink.linkio import builtin
+    from toroshrink.magnus import expand, format_series
+    from toroshrink.milnor import longitude_word
+
+    series = format_series(expand(longitude_word(builtin("borromean"), 3, 3), 3))
+    argv = ("milnor", "--builtin", "borromean", "--index", "1,2,3")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--dump-series")
+    assert code == 0
+    assert out == plain + f"  series: {series}\n"
+    code, out, _ = run(capsys, *argv, "--dump-series", "--format", "json", "--deterministic")
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["series"] == series
+
+
 # sha256 of the deterministic JSON bytes of --all-upto-length runs: the
 # length-6 ones captured from the code that enumerated every sub-index of
 # each index literally, the length-8 ones (the cap) from the recursion over
@@ -203,6 +221,35 @@ def test_shrink_decide_exit_codes(tmp_path, capsys):
         code, out, _ = run(capsys, "shrink", "decide", "--config", str(path))
         assert code == expected_code
         assert f"verdict: {outcome}" in out
+
+
+@pytest.mark.parametrize(
+    "cfg, criterion",
+    [
+        ({"variant": "periodic", "links": [{"nm": [2, 1]}]}, "periodic_product"),
+        (
+            {
+                "variant": "generator",
+                "even": {"n": "2*s^2", "m": "1"},
+                "odd": {"n": "2", "m": "(s+1)^2"},
+            },
+            "telescoping_pairs",
+        ),
+        ({"variant": "explicit", "links": [{"nm": [3, 1]}]}, "orbit_evidence"),
+    ],
+    ids=["bing", "example_56", "explicit"],
+)
+def test_shrink_decide_failed_recheck_exits_three(tmp_path, capsys, monkeypatch, cfg, criterion):
+    # a verdict whose certificate fails its re-check is an error, not a verdict
+    monkeypatch.setattr("toroshrink.shrink.verify_certificate", lambda verdict: False)
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "shrink", "decide", "--config", str(path), "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"the {criterion} certificate failed its re-check" in err
 
 
 def test_shrink_decide_json_deterministic(tmp_path, capsys):
@@ -298,6 +345,20 @@ def test_drf_orbit_negative_steps_exits_three(tmp_path, capsys):
     assert out.strip() == "5"
 
 
+def test_drf_orbit_negative_k_exits_three(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(
+        json.dumps({"variant": "periodic", "links": [{"nm": [2, 1]}]}),
+        encoding="utf-8",
+    )
+    argv = ("drf", "orbit", "--sequence", str(path), "--k", "-1", "--steps", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "interlacing count must be nonnegative" in err
+
+
 def test_drf_orbit_past_explicit_data_exits_three(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(
@@ -346,6 +407,23 @@ def test_report_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["all_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("drf", "eval", "--link", "nm(3,2)", "--k", "8"), ("link", "info", "--builtin", "hopf")],
+    ids=["drf_eval", "link_info"],
+)
+def test_json_without_deterministic_adds_the_seconds(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json", "--deterministic")
+    assert code == 0
+    deterministic = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    seconds = payload.pop("seconds")
+    assert isinstance(seconds, float) and seconds >= 0
+    assert payload == deterministic
 
 
 def test_bad_flag_exits_three(capsys):

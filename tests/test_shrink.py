@@ -18,6 +18,7 @@ from toroshrink.sequences import (
     GeneratorSequence,
     HorizonError,
     IntPoly,
+    Period,
     PeriodicSequence,
     parse_poly,
 )
@@ -1054,6 +1055,62 @@ def test_verify_rejects_a_forged_stated_field(name, field, value):
     assert verify_certificate(_tamper(v, **{field: value})) is False
 
 
+# a two-case generator whose links pair with no integer slope 2m/n
+NO_PAIR_SLOPE = GeneratorSequence(
+    even_n=parse_poly("3"), even_m=parse_poly("1"), odd_n=parse_poly("3"), odd_m=parse_poly("1")
+)
+
+
+def _move_to(seq):
+    return lambda v: dataclasses.replace(v, sequence=seq)
+
+
+# each row reaches one rejection guard of the verifier: a certificate moved
+# onto a sequence of another variant, a label no criterion writes, a wrong
+# stated value, or an outcome the certificate does not support
+@pytest.mark.parametrize(
+    "make, tamper",
+    [
+        (lambda: sher_armentrout(PURE_WHITEHEAD), _move_to(EXAMPLE_55)),
+        (lambda: sher_armentrout(PURE_WHITEHEAD), lambda v: _tamper(v, checked=[[1, 2]])),
+        (lambda: sher_armentrout(EXAMPLE_55), _move_to(PURE_WHITEHEAD)),
+        (lambda: sher_armentrout(PURE_WHITEHEAD), lambda v: _tamper(v, scope="bogus")),
+        (lambda: convergent_tau_series(PURE_WHITEHEAD), _move_to(EXAMPLE_55)),
+        (lambda: convergent_tau_series(PURE_WHITEHEAD), lambda v: _tamper(v, method="bogus")),
+        (lambda: divergent_weighted_tau_series(PURE_BING), _move_to(EXAMPLE_55)),
+        (lambda: divergent_weighted_tau_series(PURE_BING), lambda v: _tamper(v, method="bogus")),
+        (lambda: bounded_widths(PURE_22), lambda v: _tamper(v, sup_n=9)),
+        (lambda: periodic_product(PURE_BING), lambda v: _tamper(v, kind="bogus")),
+        (lambda: orbit_decide(PURE_BING), _move_to(EXAMPLE_55)),
+        (lambda: orbit_decide(PURE_BING), lambda v: _tamper(v, slope="2")),
+        (lambda: orbit_decide(PURE_BING), lambda v: dataclasses.replace(v, outcome=UNKNOWN)),
+        (lambda: decide(EXAMPLE_56), _move_to(EXAMPLE_55)),
+        (lambda: decide(EXAMPLE_56), _move_to(NO_PAIR_SLOPE)),
+    ],
+    ids=[
+        "finite-expansion-on-generator",
+        "finite-expansion-checked",
+        "symbolic-expansion-on-periodic",
+        "expansion-scope",
+        "periodic-geometric-on-generator",
+        "convergent-method",
+        "divergent-periodic-on-generator",
+        "divergent-method",
+        "bounded-widths-sup-n",
+        "kind",
+        "orbit-periodic-on-generator",
+        "orbit-periodic-slope",
+        "orbit-periodic-unknown",
+        "telescoping-on-one-case-generator",
+        "telescoping-without-pair-slope",
+    ],
+)
+def test_verify_rejects_each_guarded_tamper(make, tamper):
+    v = make()
+    assert verify_certificate(v) is True
+    assert verify_certificate(tamper(v)) is False
+
+
 # -- forged certificates: the verifier accepts only what a criterion writes ----
 
 # what `user_bound` claimed: sum prod tau <= 1000, "justified off-tool"
@@ -1485,3 +1542,19 @@ def test_decide_runs_the_periodic_product_once(monkeypatch, seq):
     assert v.criterion == "periodic_product"
     assert ("orbit_periodic", v.outcome) in v.corroborating
     assert len(calls) == 1
+
+
+def test_periodic_orbit_verdict_runs_the_descent_check_once(monkeypatch):
+    # the producer states the descent check and the verifier runs it
+    calls = []
+    original = Period.ascent
+
+    def counting(period, upto):
+        calls.append(upto)
+        return original(period, upto)
+
+    monkeypatch.setattr(Period, "ascent", counting)
+    v = orbit_decide(PeriodicSequence(((2, 1), (3, 1))))
+    assert (v.criterion, v.outcome) == ("orbit_periodic", SHRINKS)
+    assert verify_certificate(v) is True
+    assert calls == [v.certificate["checked_upto"]]
