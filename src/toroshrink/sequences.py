@@ -445,10 +445,6 @@ class PeriodicSequence(LinkSequence):
         if not self.links:
             raise SequenceError("period must contain at least one link")
 
-    @property
-    def period(self) -> int:
-        return len(self.links)
-
     @cached_property
     def one_period(self) -> Period:
         return Period((), _pairs(self.links))

@@ -19,9 +19,13 @@ No infinite series is ever decided numerically: a verdict requires a
 symbolic certificate (periodic product, geometric ratio, term bound,
 ratio test, harmonic comparison, or a telescoping composite), validated
 against the sequence variant.  Every verdict carries its sequence (a gap
-verdict its `GapSequence`).  A criterion states the checks its
-certificate rests on (the periodic descent range, the period trace that
-must end at or above k0, the telescoping pairs' range), and only
+verdict its `GapSequence`).  Each certificate method has one builder,
+which takes the sequence and the certificate's free parameters (a ratio
+and start index, say) and returns the verdict: the producer chooses the
+parameters, and :func:`verify_certificate` calls the same builder with
+the parameters read from the certificate.  A criterion states the checks
+its certificate rests on (the periodic descent range, the period trace
+that must end at or above k0, the telescoping pairs' range), and only
 :func:`verify_certificate` runs them, against that sequence.  A
 criterion that does not apply declines with a reason; when all decline,
 the verdict is an honest Unknown with orbit evidence.
@@ -405,27 +409,36 @@ def ancel_starbird(
             cert = {"kind": "ancel_starbird", "method": "zero_gaps", "exact_sum": "0"}
             return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
         r = Fraction(3, 4)
-        i0 = _ratio_test_start(seq.poly, r)
-        cert = {
-            "kind": "ancel_starbird",
-            "method": "ratio_test",
-            "gap_term": _gap_term(seq),
-            "r": str(r),
-            "i0": i0,
-            "bound": str(_ratio_test_bound(seq, r, i0)),
-        }
-        return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, seq)
+        return _ratio_test_verdict(seq, r, _ratio_test_start(seq.poly, r))
     # two_pow: terms are bounded below by the leading coefficient
+    return _term_bound_verdict(seq, 1)
+
+
+def _ratio_test_verdict(gaps: GapSequence, r: Fraction, i0: int) -> ShrinkVerdict:
+    """Convergence of poly gaps whose terms fall by the ratio r from term i0 on."""
+    cert = {
+        "kind": "ancel_starbird",
+        "method": "ratio_test",
+        "gap_term": _gap_term(gaps),
+        "r": str(r),
+        "i0": i0,
+        "bound": str(_ratio_test_bound(gaps, r, i0)),
+    }
+    return ShrinkVerdict(DOES_NOT_SHRINK, "ancel_starbird", cert, gaps)
+
+
+def _term_bound_verdict(gaps: GapSequence, i0: int) -> ShrinkVerdict:
+    """Divergence of 2^i gaps, every term from i0 on at least the 2^i coefficient."""
     cert = {
         "kind": "ancel_starbird",
         "method": "term_bound",
-        "delta": str(seq.two_pow_coeff),
-        "i0": 1,
-        "two_pow_coeff": seq.two_pow_coeff,
-        "extra_term": seq.poly.text("i"),
-        "gap_term": _gap_term(seq),
+        "delta": str(gaps.two_pow_coeff),
+        "i0": i0,
+        "two_pow_coeff": gaps.two_pow_coeff,
+        "extra_term": gaps.poly.text("i"),
+        "gap_term": _gap_term(gaps),
     }
-    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, seq)
+    return ShrinkVerdict(SHRINKS, "ancel_starbird", cert, gaps)
 
 
 def _gap_term(gaps: GapSequence) -> str:
@@ -646,17 +659,6 @@ class _OrbitPaths:
 
 
 _DESCENT_CHECK_MAX = 4096  # the most starts a periodic descent check runs
-_MONOTONE_ARGUMENT = (
-    "g is monotone with g(k0) >= k0, so the orbit of "
-    "k0 from the start of any period never drops below k0"
-)
-
-
-def _descent_text(k_star: int, a: Fraction) -> str:
-    return (
-        f"g(k) < k verified for 1 <= k <= {k_star}; "
-        f"each step satisfies f(v) < (2m/n) v, so g(k) < {a} k <= k for all k"
-    )
 
 
 def _offset_sum(period: Period) -> Fraction:
@@ -672,23 +674,40 @@ def _decide_periodic_orbits(seq, period: Period) -> ShrinkVerdict:
         # the default horizon, not the caller's: horizons shape only Unknown evidence
         bound = (a.numerator + a.denominator) * len(period.pairs)
         k_star = min(max(bound, DEFAULT_K_MAX), _DESCENT_CHECK_MAX)
-        cert = {
-            "kind": "orbit_periodic",
-            "slope": str(a),
-            "descent": _descent_text(k_star, a),
-            "checked_upto": k_star,
-            "sample_orbit": _trace_orbit(period.pairs, 8),
-        }
-        return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
+        return _descent_verdict(seq, a, k_star, _trace_orbit(period.pairs, 8))
     offsets = _offset_sum(period)
-    k0 = int(offsets / (a - 1)) + 1
+    return _ascent_verdict(seq, period, a, offsets, int(offsets / (a - 1)) + 1)
+
+
+def _descent_verdict(seq, a: Fraction, k_star: int, sample: list[int]) -> ShrinkVerdict:
+    """Slope a <= 1: the descent g(k) < k for 1 <= k <= k_star, and sample,
+    an orbit over repeated periods."""
+    cert = {
+        "kind": "orbit_periodic",
+        "slope": str(a),
+        "descent": (
+            f"g(k) < k verified for 1 <= k <= {k_star}; "
+            f"each step satisfies f(v) < (2m/n) v, so g(k) < {a} k <= k for all k"
+        ),
+        "checked_upto": k_star,
+        "sample_orbit": sample,
+    }
+    return ShrinkVerdict(SHRINKS, "orbit_periodic", cert, seq)
+
+
+def _ascent_verdict(seq, period: Period, a: Fraction, offsets: Fraction, k0: int) -> ShrinkVerdict:
+    """Slope a > 1: the trace of k0 over one period, which must end at or
+    above k0."""
     cert = {
         "kind": "orbit_periodic",
         "slope": str(a),
         "offset_sum": str(offsets),
         "k0": k0,
         "period_trace_from_k0": chain_orbit(period.pairs, k0),
-        "monotone_argument": _MONOTONE_ARGUMENT,
+        "monotone_argument": (
+            "g is monotone with g(k0) >= k0, so the orbit of "
+            "k0 from the start of any period never drops below k0"
+        ),
         "start_index": len(period.head) + 1,
     }
     return ShrinkVerdict(DOES_NOT_SHRINK, "orbit_periodic", cert, seq)
@@ -705,33 +724,31 @@ def _trace_orbit(pairs, k: int) -> list[int]:
 
 def _telescoping_certificate(seq: GeneratorSequence) -> ShrinkVerdict | str:
     """Check both pair alignments for a two-step composite of k -> k - 1."""
-    for label, (first, second) in _alignments(seq).items():
-        c_poly = _pair_slope(first, second)
-        if c_poly is None:
-            continue
-        c = c_poly.text("s")
-        cert = {
-            "kind": "telescoping_pairs",
-            "alignment": label,
-            "pair_slope": c,
-            "identity": _telescoping_identity(c),
-            "numeric_check": _TELESCOPING_CHECK,
-            "conclusion": _TELESCOPING_CONCLUSION,
-        }
-        return ShrinkVerdict(SHRINKS, "telescoping_pairs", cert, seq)
+    for label, pair in _alignments(seq).items():
+        verdict = _telescoping_verdict(seq, label, pair)
+        if verdict is not None:
+            return verdict
     return "no pair alignment telescopes to k -> k - 1"
 
 
-_TELESCOPING_CHECK = (
-    "two-step composite is k-1 (k-2 when the pair slope is 1) for s <= 50, k <= 1000"
-)
-_TELESCOPING_CONCLUSION = (
-    "orbits decrease by at least one per aligned pair, so every orbit reaches 0"
-)
-
-
-def _telescoping_identity(c: str) -> str:
-    return f"2*m_first = ({c}) * n_first and n_second = 2*m_second * ({c})"
+def _telescoping_verdict(seq, label: str, pair: tuple[Branch, Branch]) -> ShrinkVerdict | None:
+    """The telescoping pairs of the alignment label, whose branches are
+    pair, or None when they have no pair slope."""
+    c_poly = _pair_slope(*pair)
+    if c_poly is None:
+        return None
+    c = c_poly.text("s")
+    cert = {
+        "kind": "telescoping_pairs",
+        "alignment": label,
+        "pair_slope": c,
+        "identity": f"2*m_first = ({c}) * n_first and n_second = 2*m_second * ({c})",
+        "numeric_check": (
+            "two-step composite is k-1 (k-2 when the pair slope is 1) for s <= 50, k <= 1000"
+        ),
+        "conclusion": "orbits decrease by at least one per aligned pair, so every orbit reaches 0",
+    }
+    return ShrinkVerdict(SHRINKS, "telescoping_pairs", cert, seq)
 
 
 def _alignments(seq: GeneratorSequence) -> dict[str, tuple[Branch, Branch]]:
@@ -846,226 +863,107 @@ def _corroborated(primary: ShrinkVerdict, others: list, declined=()) -> ShrinkVe
 
 
 def verify_certificate(verdict: ShrinkVerdict) -> bool:
-    """Re-evaluate a verdict's certificate from its sequence.
+    """Re-check a verdict's certificate against its sequence.
 
-    Every arithmetic claim stored in the certificate is recomputed from
-    the raw sequence, and every check it states (the periodic descent,
-    the period trace from k0, the telescoping pairs) runs here and not in
-    the producer; any mismatch, a label no criterion writes, or an
-    outcome that does not follow from the certified facts, yields False.
-    The check is not independent of the producers: it reads the same
-    `Period` and `Branch` data and reuses their exact-sum, geometric-ratio,
-    width, harmonic-floor, margin, pair-slope and gap-series helpers.
+    The certificate is rebuilt on the sequence by the builder of the
+    criterion that wrote it, from the certificate's free parameters: the
+    ratio and start index of a geometric ratio or a ratio test, the start
+    index of a term bound, the descent range and sample orbit or the k0 of
+    a periodic orbit certificate, the alignment of telescoping pairs, and
+    those of a bounded-widths inner certificate.  Every other field is the
+    builder's.  The rebuilt verdict must have the same outcome and an equal
+    certificate.  The checks that a certificate states and no producer
+    runs are run here: the ranges of the free parameters, the periodic
+    descent, the sample orbit, the period trace from k0 and the
+    telescoping pairs.  A failed check, a kind or method no criterion
+    writes, or a malformed field yields False.  The rebuild shares the
+    producers' code, so it finds a certificate that is forged or moved to
+    another sequence, not a fault in that code.
     """
     try:
-        return _verify(verdict)
-    except (HorizonError, KeyError, ValueError, TypeError):
+        rebuilt = _rebuild(verdict.certificate, verdict.sequence)
+    except (HorizonError, KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
+    return (
+        isinstance(rebuilt, ShrinkVerdict)
+        and rebuilt.outcome == verdict.outcome
+        and rebuilt.certificate == verdict.certificate
+    )
 
 
-def _verify(verdict: ShrinkVerdict) -> bool:
-    cert = verdict.certificate
-    kind = cert.get("kind")
-    seq = verdict.sequence
-    period = seq.one_period
+def _rebuild(cert: dict, seq: LinkSequence) -> ShrinkVerdict | str | None:
+    """What the criterion of cert builds on seq from cert's free parameters,
+    or None when a check that cert states fails."""
+    kind, method = cert["kind"], cert.get("method")
     if kind == "periodic_product":
-        if period is None or len(period.pairs) != cert["period"]:
-            return False
-        if cert["prefix_skipped"] != len(period.head) or cert["shrinks_iff"] != "product >= 1":
-            return False
-        if [str(t) for t in period.taus] != cert["taus"]:
-            return False
-        if str(period.product) != cert["product"]:
-            return False
-        expected = SHRINKS if period.product >= 1 else DOES_NOT_SHRINK
-        return verdict.outcome == expected
+        return periodic_product(seq)
     if kind == "sher_armentrout":
-        if verdict.outcome != DOES_NOT_SHRINK or cert["consequence"] != _EXPANSION_CONSEQUENCE:
-            return False
-        if cert["scope"] == "finite":
-            if period is None:
-                return False
-            pairs = period.head + period.pairs
-            if [[n, two_m // 2] for n, two_m in pairs] != cert["checked"]:
-                return False
-            return all(n < two_m for n, two_m in pairs)
-        if cert["scope"] == "symbolic":
-            if not isinstance(seq, GeneratorSequence):
-                return False
-            margins = [(b, _expansion_margin(b)) for b in seq.branches]
-            witnesses = [
-                {"branch": b.name, "margin": margin.text("s"), "from": b.first}
-                for b, margin in margins
-            ]
-            if cert["branches"] != witnesses:
-                return False
-            return all(b.violation(margin) is None for b, margin in margins)
-        return False
-    if kind == "convergent_tau_series":
-        if verdict.outcome != DOES_NOT_SHRINK:
-            return False
-        method = cert["method"]
-        if method == "periodic_geometric":
-            if period is None or period.product >= 1:
-                return False
-            total = _periodic_exact_sum(period)
-            return (
-                str(total) == cert["exact_sum"]
-                and str(period.product) == cert["block_product"]
-                and cert["k0"] == int(total) + 1
-                and cert["k0"] > total
-            )
-        if method == "geometric_ratio":
-            if cert["block"] != 1:
-                return False
-            r, i0 = Fraction(cert["r"]), cert["i0"]
-            if _geometric_fault(seq, r, i0) is not None:
-                return False
-            bound, k0, prefix = _geometric_bound(seq, r, i0)
-            return (
-                str(bound) == cert["bound"]
-                and k0 == cert["k0"]
-                and [str(p) for p in prefix] == cert["prefix_partial_sums"]
-                and Fraction(cert["k0"]) > bound
-            )
-        return False
+        return sher_armentrout(seq)
     if kind == "divergent_weighted_tau_series":
-        if verdict.outcome != SHRINKS:
-            return False
-        method = cert["method"]
-        if method == "periodic_product":
-            if period is None:
-                return False
-            n_max = _sup_widths(seq)
-            floor = str(min(period.partials) / n_max)
-            if str(period.product) != cert["product"] or period.product < 1:
-                return False
-            return cert["n_max"] == n_max and cert["term_floor"] == floor
-        if method == "harmonic_comparison":
-            # constant widths and tau >= 1 give every term >= 1/n_max
-            return (
-                isinstance(seq, GeneratorSequence)
-                and _harmonic_floor_fault(seq) is None
-                and cert["c"] == str(Fraction(1, _sup_widths(seq)))
-                and cert["i0"] == 1
-            )
-        return False
+        return divergent_weighted_tau_series(seq)
+    if kind == "convergent_tau_series" and method != "geometric_ratio":
+        return convergent_tau_series(seq) if cert["k0"] > Fraction(cert["exact_sum"]) else None
+    if kind == "convergent_tau_series":
+        r, i0 = Fraction(cert["r"]), cert["i0"]
+        # one prefix partial per link before i0: a forged i0 is refused unread
+        if len(cert["prefix_partial_sums"]) != i0 - 1 or _geometric_fault(seq, r, i0):
+            return None
+        return _geometric_verdict(seq, r, i0) if cert["k0"] > Fraction(cert["bound"]) else None
     if kind == "bounded_widths":
-        if _sup_widths(seq) != cert["sup_n"]:
-            return False
-        inner = dict(cert["inner"])
-        decisions = {
-            "tau series converges": (DOES_NOT_SHRINK, "convergent_tau_series"),
-            "tau series diverges": (SHRINKS, "divergent_weighted_tau_series"),
-        }
-        if decisions.get(cert["decision"]) != (verdict.outcome, inner["kind"]):
-            return False
-        return _verify(ShrinkVerdict(verdict.outcome, inner["kind"], inner, seq))
-    if kind == "ancel_starbird":
-        return _verify_ancel_starbird(verdict)
-    if kind == "orbit_periodic":
-        return _verify_orbit_periodic(verdict)
-    if kind == "telescoping_pairs":
-        return _verify_telescoping(verdict)
-    if kind == "orbit_evidence":
-        return verdict.outcome == UNKNOWN
-    return False
-
-
-def _verify_ancel_starbird(verdict: ShrinkVerdict) -> bool:
-    """Re-check a gap certificate against the gaps of `verdict.sequence`."""
-    cert, gaps = verdict.certificate, verdict.sequence
-    if not isinstance(gaps, GapSequence) or gaps.kind == "explicit":
-        return False
-    method = cert["method"]
-    if gaps.kind == "periodic":
-        cross = cert["cross_check"]
-        return (
-            method == "periodic_geometric"
-            and cert["gap_period"] == list(gaps.values)
-            and cert["exact_sum"] == str(_periodic_gap_sum(gaps))
-            and cross["kind"] == "periodic_product"
-            and _verify(ShrinkVerdict(DOES_NOT_SHRINK, "periodic_product", cross, gaps))
-            and verdict.outcome == DOES_NOT_SHRINK
-        )
-    if gaps.kind == "two_pow":
-        coeff, i0 = gaps.two_pow_coeff, cert["i0"]
+        # only a tau-series certificate decides; each is rebuilt in its own slot
+        inner = cert["inner"]
+        if inner["kind"] == "convergent_tau_series":
+            return _bounded_widths(seq, _rebuild(inner, seq), None)
+        if inner["kind"] == "divergent_weighted_tau_series":
+            return _bounded_widths(seq, None, _rebuild(inner, seq))
+        return None
+    if kind == "ancel_starbird" and method == "ratio_test":
+        r, i0 = Fraction(cert["r"]), cert["i0"]
+        if not isinstance(seq, GapSequence) or seq.kind != "poly" or seq.poly.is_zero():
+            return None
+        if not 0 < r < 1 or _ratio_margin(seq.poly, r).first_negative(i0) is not None:
+            return None
+        return _ratio_test_verdict(seq, r, i0)
+    if kind == "ancel_starbird" and method == "term_bound":
         # from i0 on, c_i / 2^i = coeff + extra(i) / 2^i >= coeff >= 1: divergence
-        return (
-            method == "term_bound"
-            and cert["two_pow_coeff"] == coeff
-            and cert["delta"] == str(coeff)
-            and cert["extra_term"] == gaps.poly.text("i")
-            and cert["gap_term"] == _gap_term(gaps)
-            and i0 >= 1
-            and gaps.poly.first_negative(i0) is None
-            and verdict.outcome == SHRINKS
-        )
-    if verdict.outcome != DOES_NOT_SHRINK:
-        return False
-    if gaps.poly.is_zero():
-        return method == "zero_gaps" and cert["exact_sum"] == "0"
-    r, i0 = Fraction(cert["r"]), cert["i0"]
-    return (
-        method == "ratio_test"
-        and cert["gap_term"] == _gap_term(gaps)
-        and 0 < r < 1
-        and _ratio_margin(gaps.poly, r).first_negative(i0) is None
-        and cert["bound"] == str(_ratio_test_bound(gaps, r, i0))
-    )
+        i0 = cert["i0"]
+        if not isinstance(seq, GapSequence) or seq.kind != "two_pow" or i0 < 1:
+            return None
+        return _term_bound_verdict(seq, i0) if seq.poly.first_negative(i0) is None else None
+    if kind == "ancel_starbird":
+        return ancel_starbird(seq)
+    if kind == "orbit_periodic":
+        return _rebuild_orbit_periodic(cert, seq)
+    if kind == "telescoping_pairs":
+        if not isinstance(seq, GeneratorSequence) or not seq.two_case:
+            return None
+        label = cert["alignment"]
+        pair = _alignments(seq).get(label)
+        verdict = None if pair is None else _telescoping_verdict(seq, label, pair)
+        return verdict if verdict and _telescopes_numerically(seq, pair[0]) else None
+    if kind == "orbit_evidence":
+        return ShrinkVerdict(UNKNOWN, kind, cert, seq)  # an Unknown certifies nothing
+    return None
 
 
-def _verify_orbit_periodic(verdict: ShrinkVerdict) -> bool:
-    cert = verdict.certificate
-    period = verdict.sequence.one_period
+def _rebuild_orbit_periodic(cert: dict, seq: LinkSequence) -> ShrinkVerdict | None:
+    """The descent certificate when the slope is at most 1, else the ascent."""
+    period = seq.one_period
     if period is None:
-        return False
+        return None
     a = period.slope
-    if str(a) != cert["slope"]:
-        return False
-    if verdict.outcome == SHRINKS:
+    if a <= 1:
         upto, trace = cert["checked_upto"], cert["sample_orbit"]
+        if not 1 <= upto <= _DESCENT_CHECK_MAX or period.ascent(upto) is not None:
+            return None
         # the orbit of trace[0] over repeated periods; DRFs start at k >= 0
-        return (
-            a <= 1
-            and 1 <= upto <= _DESCENT_CHECK_MAX
-            and cert["descent"] == _descent_text(upto, a)
-            and period.ascent(upto) is None
-            and len(trace) >= 1
-            and trace[0] >= 0
-            and trace == chain_orbit((period.pairs * len(trace))[: len(trace) - 1], trace[0])
-        )
-    if verdict.outcome == DOES_NOT_SHRINK:
-        k0, trace = cert["k0"], cert["period_trace_from_k0"]
-        return (
-            a > 1
-            and cert["offset_sum"] == str(_offset_sum(period))
-            and cert["monotone_argument"] == _MONOTONE_ARGUMENT
-            and cert["start_index"] == len(period.head) + 1
-            and k0 >= 1
-            and trace == chain_orbit(period.pairs, k0)
-            and trace[-1] >= k0
-        )
-    return False
-
-
-def _verify_telescoping(verdict: ShrinkVerdict) -> bool:
-    seq = verdict.sequence
-    if not isinstance(seq, GeneratorSequence) or not seq.two_case:
-        return False
-    cert = verdict.certificate
-    pair = _alignments(seq).get(cert["alignment"])
-    if pair is None:
-        return False
-    c_poly = _pair_slope(*pair)
-    if c_poly is None:
-        return False
-    c = c_poly.text("s")
-    return (
-        c == cert["pair_slope"]
-        and _telescoping_identity(c) == cert["identity"]
-        and cert["numeric_check"] == _TELESCOPING_CHECK
-        and cert["conclusion"] == _TELESCOPING_CONCLUSION
-        and verdict.outcome == SHRINKS
-        and _telescopes_numerically(seq, pair[0])
-    )
+        if not trace or trace[0] < 0:
+            return None
+        if trace != chain_orbit((period.pairs * len(trace))[: len(trace) - 1], trace[0]):
+            return None
+        return _descent_verdict(seq, a, upto, trace)
+    k0 = cert["k0"]
+    if k0 < 1:
+        return None
+    verdict = _ascent_verdict(seq, period, a, _offset_sum(period), k0)
+    return verdict if verdict.certificate["period_trace_from_k0"][-1] >= k0 else None

@@ -604,6 +604,84 @@ def test_horizon_flag_sets_the_horizons():
     assert horizons("4,5,6") == (4, 5, 6)
 
 
+_TWO_CROSSINGS = "X[1,3,2,4] X[3,1,4,2]\n"
+
+
+def _decide_config(cfg):
+    return ("shrink", "decide", "--config", json.dumps(cfg))
+
+
+def _pd_text(annotations):
+    return ("link", "info", "--pd-text", _TWO_CROSSINGS + annotations)
+
+
+# each input error exits 3 with one stderr line; a shrink decide row holds
+# its config as JSON text, written to a file for the run
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_decide_config([]), "sequence config must be an object with a 'variant'"),
+        (_decide_config({}), "sequence config must be an object with a 'variant'"),
+        (
+            _decide_config({"variant": "periodic", "links": []}),
+            "period must contain at least one link",
+        ),
+        (
+            _decide_config({"variant": "explicit", "links": []}),
+            "explicit sequence needs at least one link",
+        ),
+        (
+            _decide_config({"variant": "eventually_periodic", "prefix": ["bing"], "period": []}),
+            "periodic tail must contain at least one link",
+        ),
+        (_decide_config({"variant": "periodic", "links": [5]}), "bad link entry 5"),
+        (_decide_config({"variant": "periodic", "links": [{"x": 1}]}), "bad link entry {'x': 1}"),
+        (
+            _decide_config({"variant": "generator", "n": "i$", "m": "1"}),
+            "bad character in term 'i$' at 1",
+        ),
+        (
+            _pd_text("% component 1: 1,2\n% component 1: 3,4"),
+            "duplicate component labels",
+        ),
+        (
+            _pd_text("% component 2: 1,2\n% component 3: 3,4"),
+            "component labels [2, 3] must be contiguous starting at 0 or 1",
+        ),
+        (
+            _pd_text("% component 1: a,b\n% component 2: 3,4"),
+            "bad component annotation '% component 1: a,b'",
+        ),
+        (
+            ("milnor", "--builtin", "borromean", "--all-upto-length", "9"),
+            "length bound 9 exceeds 8",
+        ),
+    ],
+    ids=[
+        "config-list",
+        "config-empty",
+        "periodic-no-links",
+        "explicit-no-links",
+        "empty-period",
+        "link-entry-int",
+        "link-entry-unknown-key",
+        "term-bad-character",
+        "pd-duplicate-label",
+        "pd-labels-from-2",
+        "pd-bad-annotation",
+        "milnor-length-9",
+    ],
+)
+def test_input_error_exits_three_with_one_line(tmp_path, capsys, argv, message):
+    if argv[:3] == ("shrink", "decide", "--config"):
+        path = tmp_path / "seq.json"
+        path.write_text(argv[3], encoding="utf-8")
+        argv = (*argv[:3], str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"toroshrink: error: {message}\n"
+
+
 def test_unexpected_error_exits_three(tmp_path, capsys):
     # 200,000 nested '[' overflow the JSON decoder with a RecursionError
     path = tmp_path / "seq.json"

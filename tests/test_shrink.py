@@ -866,6 +866,9 @@ def test_verify_rejects_tampered_k0():
     assert verify_certificate(_tamper(v, k0=0)) is False
     # g(-3) = 0 >= -3, but no orbit starts below 0
     assert verify_certificate(_tamper(v, k0=-3, period_trace_from_k0=[-3, 0])) is False
+    # a true trace from k0 = 1 that ends below k0
+    v = orbit_decide(PeriodicSequence(((2, 1), (1, 1))))
+    assert verify_certificate(_tamper(v, k0=1, period_trace_from_k0=[1, 0, 0])) is False
 
 
 def test_verify_rejects_tampered_gap_bound():
@@ -888,6 +891,66 @@ def test_verify_rejects_unknown_telescoping_alignment():
         assert verify_certificate(_tamper(v, alignment=label)) is True
     for label in ("bogus", "", "even"):
         assert verify_certificate(_tamper(v, alignment=label)) is False
+
+
+def _ratio_test_from(v, i0, r=Fraction(3, 4)):
+    """v's ratio test on the gaps i^2 + 1, restated with ratio r from term
+    i0 on, with the bound those give."""
+    def term(i):
+        return Fraction(i * i + 1, 2**i)
+
+    bound = sum((term(i) for i in range(1, i0)), Fraction(0)) + term(i0) / (1 - r)
+    return _tamper(v, r=str(r), i0=i0, bound=str(bound))
+
+
+# true certificates whose free parameters are not the ones the producer
+# chose; a rebuild that re-ran the producer's choices would reject them
+# (test_verify_rejects_unknown_telescoping_alignment covers both alignments)
+OTHER_FREE_PARAMETERS = {
+    "geometric_ratio_three_quarters_from_2": (
+        lambda: convergent_tau_series(_generator("1", "i")),
+        # tau_i = 1/(2i) <= 3/4 from i = 2; bound 1/2 + (1/2)(3/4)/(1/4) = 2
+        lambda v: _tamper(v, r="3/4", i0=2, prefix_partial_sums=["1/2"], bound="2", k0=3),
+    ),
+    "term_bound_from_2": (
+        lambda: ancel_starbird(GapSequence.two_pow(2, parse_poly("i"))),
+        lambda v: _tamper(v, i0=2),
+    ),
+    "sample_orbit_of_3_values": (
+        lambda: orbit_decide(PeriodicSequence(((2, 1), (3, 1)))),
+        lambda v: _tamper(v, sample_orbit=v.certificate["sample_orbit"][:3]),
+    ),
+    "k0_plus_5": (
+        # the (1, 1) stage is k -> 2k - 1, so the period trace of 7 is [7, 13]
+        lambda: orbit_decide(PURE_WHITEHEAD),
+        lambda v: _tamper(v, k0=7, period_trace_from_k0=[7, 13]),
+    ),
+    "ratio_test_from_i0_plus_3": (
+        lambda: ancel_starbird(GapSequence.from_poly("i^2+1")),
+        lambda v: _ratio_test_from(v, v.certificate["i0"] + 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_FREE_PARAMETERS))
+def test_verify_accepts_other_valid_free_parameters(name):
+    make, restate = OTHER_FREE_PARAMETERS[name]
+    v = make()
+    other = restate(v)
+    assert other.certificate != v.certificate
+    assert verify_certificate(v) is True
+    assert verify_certificate(other) is True
+
+
+def test_verify_refuses_a_forged_geometric_start_without_reading_links():
+    # the prefix lists one partial per link before i0, so the verifier's
+    # cost follows the certificate's size, not the number i0
+    seq = _CountingGenerator(n_poly=parse_poly("1"), m_poly=parse_poly("i"))
+    v = convergent_tau_series(seq)
+    assert (v.certificate["i0"], v.certificate["prefix_partial_sums"]) == (1, [])
+    del seq.reads[:]
+    assert verify_certificate(_tamper(v, i0=10**6)) is False
+    assert seq.reads == []
 
 
 def test_verify_rejects_tampered_expansion_branches():
@@ -937,6 +1000,7 @@ def test_verify_rejects_tampered_telescoping_identity():
         ("sample_orbit", []),
         # every DRF sends -3 to 0, but no orbit starts below 0
         ("sample_orbit", [-3, 0, 0]),
+        ("sample_orbit", [8, 100]),
     ],
 )
 def test_verify_rejects_forged_periodic_descent_field(field, value):
@@ -1086,6 +1150,25 @@ def _move_to(seq):
         (lambda: orbit_decide(PURE_BING), lambda v: dataclasses.replace(v, outcome=UNKNOWN)),
         (lambda: decide(EXAMPLE_56), _move_to(EXAMPLE_55)),
         (lambda: decide(EXAMPLE_56), _move_to(NO_PAIR_SLOPE)),
+        (lambda: convergent_tau_series(_generator("1", "i")), lambda v: _tamper(v, r="1")),
+        (lambda: convergent_tau_series(_generator("1", "i")), lambda v: _tamper(v, r="0")),
+        # Bing's periodic product says shrinks too, but it is no tau series
+        (
+            lambda: bounded_widths(PURE_BING),
+            lambda v: _tamper(v, inner=periodic_product(PURE_BING).certificate),
+        ),
+        # the rows below state a bound that follows from their r and i0
+        (
+            lambda: convergent_tau_series(_generator("1", "i")),
+            lambda v: _geometric_verdict(v.sequence, Fraction(2), 1),
+        ),
+        (
+            lambda: ancel_starbird(GapSequence.from_poly("i^2+1")),
+            lambda v: _ratio_test_from(v, v.certificate["i0"], Fraction(2)),
+        ),
+        # the terms of i^2 + 1 fall by 3/4 only from i = 5 on
+        (lambda: ancel_starbird(GapSequence.from_poly("i^2+1")), lambda v: _ratio_test_from(v, 1)),
+        (lambda: decide(EXAMPLE_56), _move_to(PURE_BING)),
     ],
     ids=[
         "finite-expansion-on-generator",
@@ -1103,6 +1186,13 @@ def _move_to(seq):
         "orbit-periodic-unknown",
         "telescoping-on-one-case-generator",
         "telescoping-without-pair-slope",
+        "geometric-ratio-one",
+        "geometric-ratio-zero",
+        "bounded-widths-inner-periodic-product",
+        "geometric-ratio-two-with-its-bound",
+        "ratio-test-two-with-its-bound",
+        "ratio-test-before-its-margin-holds",
+        "telescoping-on-periodic",
     ],
 )
 def test_verify_rejects_each_guarded_tamper(make, tamper):
@@ -1222,6 +1312,7 @@ def test_verify_rejects_gap_certificate_on_another_sequence(method, other):
         ("ratio_test", "gap_term", "i^2 + 2"),
         ("ratio_test", "r", "2"),
         ("ratio_test", "r", "1"),
+        ("ratio_test", "r", "1/0"),
         ("ratio_test", "i0", 1),
         ("term_bound", "gap_term", "2*2^i"),
         ("term_bound", "extra_term", "0"),
@@ -1447,6 +1538,22 @@ DECLINED_CASES = {
         (
             *_GENERATOR_DECLINES,
             ("orbit_proof", "neither periodic nor a two-case generator"),
+            ("ancel_starbird", "not a gap sequence"),
+        ),
+    ),
+    # each branch alone is decided the other way, so neither series is certified
+    "two_case_even_3_1_odd_1_1": (
+        lambda: decide(_two_case("3", "1", "1", "1"), k_max=8, m_max=2, p_max=50),
+        (
+            ("periodic_product", "no period"),
+            ("sher_armentrout", "n >= 2m at index 2"),
+            ("bounded_widths", "neither tau series is certified"),
+            ("convergent_tau_series", "lim sup tau >= 1"),
+            (
+                "divergent_weighted_tau_series",
+                "tau falls below 1 at index 1; cannot maintain the harmonic floor",
+            ),
+            ("orbit_proof", "no pair alignment telescopes to k -> k - 1"),
             ("ancel_starbird", "not a gap sequence"),
         ),
     ),
